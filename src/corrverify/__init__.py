@@ -7,12 +7,9 @@ The package is organized as a numpy library:
 * :mod:`corrverify.core` -- value types, bilinear sampling, file I/O
 * :mod:`corrverify.pyramid` -- dense descriptor pyramid, hypercolumns,
   global descriptors
-* :mod:`corrverify.matcher` -- coarse-to-fine dense correspondence maps
 * :mod:`corrverify.verify` -- RANSAC + cyclic consistency + similarity scores
-* :mod:`corrverify.rerank` -- index construction and staged re-ranking
 * :mod:`corrverify.synth` -- synthetic warps, ground-truth maps, benchmarks
-* :mod:`corrverify.metrics` -- AEPE / PCK / Recall@N
-* :mod:`corrverify.cli` -- command-line entry points
+* :mod:`corrverify.rng` -- hash-derived seeds and a portable LCG
 """
 
 from .core import (

@@ -218,27 +218,14 @@ def bilinear_sample(values, x: float, y: float):
     h, w = values.shape[:2]
     if not (0.0 <= x <= w - 1.0 and 0.0 <= y <= h - 1.0):
         raise InvalidSampleError(f"sample ({x}, {y}) outside [0,{w - 1}]x[0,{h - 1}]")
-    x0 = int(np.floor(x))
-    y0 = int(np.floor(y))
-    x0 = min(x0, w - 2) if w > 1 else 0
-    y0 = min(y0, h - 2) if h > 1 else 0
-    fx = x - x0
-    fy = y - y0
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    v00 = values[y0, x0].astype(np.float64)
-    v01 = values[y0, x1].astype(np.float64)
-    v10 = values[y1, x0].astype(np.float64)
-    v11 = values[y1, x1].astype(np.float64)
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy
+    out, _ = bilinear_sample_grid(values, [x], [y])
+    return out[0]
 
 
 def bilinear_sample_grid(values, xs, ys):
     """Vectorized bilinear sampling with an out-of-bounds validity mask.
 
-    Returns (samples, ok); samples are 0 where ok is False.
+    Returns (samples, ok) in float64; samples are 0 where ok is False.
     """
     values = np.asarray(values)
     xs = np.asarray(xs, dtype=np.float64)
@@ -258,15 +245,48 @@ def bilinear_sample_grid(values, xs, ys):
     if values.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
-    v = values.astype(np.float64, copy=False)
-    top = v[y0, x0] * (1.0 - fx) + v[y0, x1] * fx
-    bot = v[y1, x0] * (1.0 - fx) + v[y1, x1] * fx
+    # the float64 weights promote only the gathered corners, never the grid
+    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
+    bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
     out = top * (1.0 - fy) + bot * fy
     if values.ndim == 3:
         out[~ok] = 0.0
     else:
         out = np.where(ok, out, 0.0)
     return out, ok
+
+
+def half_pixel(x, n, new_n):
+    """Coordinates on an axis of n pixels moved to an axis of new_n pixels
+    spanning the same extent (half-pixel, area-centered mapping)."""
+    return (np.asarray(x, dtype=np.float64) + 0.5) * (new_n / n) - 0.5
+
+
+def half_pixel_axis(n: int, new_n: int) -> np.ndarray:
+    """Positions on an n-pixel axis of the new_n pixels of a resampled axis,
+    clipped to [0, n-1]."""
+    return np.clip(half_pixel(np.arange(new_n), new_n, n), 0.0, n - 1.0)
+
+
+def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
+    """Separable bilinear resampling of a (H, W) or (H, W, C) grid onto the
+    half-pixel tensor grid, rows first, in the grid's own dtype.
+
+    Always returns a new array.
+    """
+    v = np.ascontiguousarray(values)
+    h, w = v.shape[:2]
+    if (new_h, new_w) == (h, w):
+        return v.copy()
+    ys = half_pixel_axis(h, new_h)
+    xs = half_pixel_axis(w, new_w)
+    y0 = np.minimum(np.floor(ys).astype(np.int64), max(h - 2, 0))
+    x0 = np.minimum(np.floor(xs).astype(np.int64), max(w - 2, 0))
+    trail = (1,) * (v.ndim - 2)
+    fy = (ys - y0).astype(v.dtype).reshape((-1, 1) + trail)
+    fx = (xs - x0).astype(v.dtype).reshape((-1,) + trail)
+    rows = v[y0] * (1 - fy) + v[np.minimum(y0 + 1, h - 1)] * fy
+    return rows[:, x0] * (1 - fx) + rows[:, np.minimum(x0 + 1, w - 1)] * fx
 
 
 def sample_map(cmap: CorrespondenceMap, xs, ys):
@@ -276,7 +296,7 @@ def sample_map(cmap: CorrespondenceMap, xs, ys):
     contributing a nonzero interpolation weight is itself valid.
     """
     coords, ok = bilinear_sample_grid(cmap.coords, xs, ys)
-    vfrac, _ = bilinear_sample_grid(cmap.valid.astype(np.float64), xs, ys)
+    vfrac, _ = bilinear_sample_grid(cmap.valid, xs, ys)
     ok = ok & (vfrac >= 1.0 - 1e-9)
     coords[~ok] = 0.0
     return coords, ok
@@ -309,18 +329,9 @@ def resize_image(image: Image, new_h: int, new_w: int) -> Image:
     """Bilinear resampling with half-pixel (area-centered) mapping."""
     if new_h < 8 or new_w < 8:
         raise ValueError(f"target dims must be >= 8, got {new_h}x{new_w}")
-    h, w = image.height, image.width
-    if (new_h, new_w) == (h, w):
+    if (new_h, new_w) == (image.height, image.width):
         return image
-    sy = h / new_h
-    sx = w / new_w
-    ys = (np.arange(new_h, dtype=np.float64) + 0.5) * sy - 0.5
-    xs = (np.arange(new_w, dtype=np.float64) + 0.5) * sx - 0.5
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    gx, gy = np.meshgrid(xs, ys)
-    out, _ = bilinear_sample_grid(image.pixels, gx, gy)
-    return Image(np.clip(out, 0.0, 1.0))
+    return Image(np.clip(resize_grid(image.pixels, new_h, new_w), 0.0, 1.0))
 
 
 def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> CorrespondenceMap:
@@ -332,14 +343,10 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
     h, w = cmap.height, cmap.width
     if (new_h, new_w) == (h, w):
         return cmap
-    ys = np.clip((np.arange(new_h, dtype=np.float64) + 0.5) * (h / new_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(new_w, dtype=np.float64) + 0.5) * (w / new_w) - 0.5, 0.0, w - 1.0)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(half_pixel_axis(w, new_w), half_pixel_axis(h, new_h))
     coords, ok = sample_map(cmap, gx, gy)
     # source coordinates rescale with the same half-pixel convention
-    coords = coords.copy()
-    coords[..., 0] = (coords[..., 0] + 0.5) * (new_w / w) - 0.5
-    coords[..., 1] = (coords[..., 1] + 0.5) * (new_h / h) - 0.5
+    coords = half_pixel(coords, np.array([w, h]), np.array([new_w, new_h]))
     coords[~ok] = 0.0
     return CorrespondenceMap(coords, ok)
 

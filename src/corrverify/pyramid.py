@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .core import FeatureMap, GlobalDescriptor, Image, resize_image, to_grayscale
+from .core import FeatureMap, GlobalDescriptor, Image, resize_grid, resize_image, to_grayscale
 
 WORKING_SIZE = 240
 NUM_LEVELS = 5
@@ -159,23 +159,6 @@ def build_pyramid(
     return FeaturePyramid(levels, constant_input=constant)
 
 
-def _resize_features(values: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Separable bilinear resampling of a (H, W, C) stack, half-pixel grid."""
-    h, w = values.shape[:2]
-    v = np.ascontiguousarray(values)
-    if (new_h, new_w) == (h, w):
-        return v.copy()
-    dt = v.dtype
-    ys = np.clip((np.arange(new_h) + 0.5) * (h / new_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(new_w) + 0.5) * (w / new_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.minimum(np.floor(ys).astype(np.int64), max(h - 2, 0))
-    x0 = np.minimum(np.floor(xs).astype(np.int64), max(w - 2, 0))
-    fy = (ys - y0).astype(dt)[:, None, None]
-    fx = (xs - x0).astype(dt)[None, :, None]
-    rows = v[y0] * (1 - fy) + v[np.minimum(y0 + 1, h - 1)] * fy
-    return rows[:, x0] * (1 - fx) + rows[:, np.minimum(x0 + 1, w - 1)] * fx
-
-
 def _normalize_rows(arr: np.ndarray) -> None:
     """In-place per-pixel L2 normalization; zero vectors stay zero."""
     sq = np.einsum("hwc,hwc->hw", arr, arr)
@@ -199,7 +182,7 @@ def extract_hypercolumn(pyramid: FeaturePyramid, target_hw=(480, 480)) -> Featur
     out = np.empty((th, tw, total_c), dtype=np.float32)
     ofs = 0
     for fm in pyramid.levels:
-        up = _resize_features(fm.values, th, tw)
+        up = resize_grid(fm.values, th, tw)
         _normalize_rows(up)
         out[:, :, ofs : ofs + fm.channels] = up
         ofs += fm.channels

@@ -20,14 +20,15 @@ from .core import (
     CorrespondenceMap,
     Image,
     bilinear_sample_grid,
+    resize_grid,
     resize_image,
     save_image,
     to_grayscale,
     write_cmap,
 )
-from .pyramid import WORKING_SIZE, _resize_features
+from .pyramid import WORKING_SIZE
 from .rng import derive_seed, generator
-from .verify import DegenerateModelError, fit_homography_dlt
+from .verify import DegenerateModelError, fit_homography_dlt, project
 
 WARP_KINDS = ("affine", "homography", "tps")
 PROBE_GRID = 16
@@ -111,14 +112,7 @@ def warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
         m = np.asarray(spec.params["matrix"], dtype=np.float64)
         return pts @ m[:, :2].T + m[:, 2]
     if spec.kind == "homography":
-        h = np.asarray(spec.params["matrix"], dtype=np.float64)
-        w = pts @ h[2, :2] + h[2, 2]
-        x = pts @ h[0, :2] + h[0, 2]
-        y = pts @ h[1, :2] + h[1, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.stack([x / w, y / w], axis=1)
-        out[np.abs(w) <= 1e-12] = np.nan
-        return out
+        return project(spec.params["matrix"], pts)
     controls = np.asarray(spec.params["controls"], dtype=np.float64)
     targets = np.asarray(spec.params["targets"], dtype=np.float64)
     sol = _tps_solve(controls, targets)
@@ -138,15 +132,8 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     if spec.kind == "homography":
         h = np.asarray(spec.params["matrix"], dtype=np.float64)
         w = pts @ h[2, :2] + h[2, 2]
-        x = pts @ h[0, :2] + h[0, 2]
-        y = pts @ h[1, :2] + h[1, 2]
-        jac = np.empty((n, 2, 2))
-        w2 = w * w
-        jac[:, 0, 0] = (h[0, 0] * w - h[2, 0] * x) / w2
-        jac[:, 0, 1] = (h[0, 1] * w - h[2, 1] * x) / w2
-        jac[:, 1, 0] = (h[1, 0] * w - h[2, 0] * y) / w2
-        jac[:, 1, 1] = (h[1, 1] * w - h[2, 1] * y) / w2
-        return jac
+        # d(p_i)/d(x_j) = (h[i, j] - h[2, j] * p_i) / w for the projected p
+        return (h[:2, :2] - project(h, pts)[:, :, None] * h[2, :2]) / w[:, None, None]
     controls = np.asarray(spec.params["controls"], dtype=np.float64)
     targets = np.asarray(spec.params["targets"], dtype=np.float64)
     sol = _tps_solve(controls, targets)
@@ -176,15 +163,9 @@ def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
         out = (pts - m[:, 2]) @ inv.T
         return out, np.isfinite(out).all(axis=1)
     if spec.kind == "homography":
-        h = np.linalg.inv(np.asarray(spec.params["matrix"], dtype=np.float64))
-        w = pts @ h[2, :2] + h[2, 2]
-        x = pts @ h[0, :2] + h[0, 2]
-        y = pts @ h[1, :2] + h[1, 2]
-        ok = np.abs(w) > 1e-12
-        w = np.where(ok, w, 1.0)
-        out = np.stack([x / w, y / w], axis=1)
+        out = project(np.linalg.inv(np.asarray(spec.params["matrix"], dtype=np.float64)), pts)
         # points mapped from behind the horizon are not preimages
-        ok &= np.isfinite(out).all(axis=1)
+        ok = np.isfinite(out).all(axis=1)
         out[~ok] = 0.0
         return out, ok
     return _tps_invert(spec, pts)
@@ -353,8 +334,7 @@ def make_texture(h: int, w: int, seed: int) -> Image:
     rng = generator(seed, "texture")
     acc = np.zeros((h, w))
     for cells, amp in ((3, 1.0), (6, 0.75), (12, 0.55), (24, 0.4), (48, 0.3), (96, 0.22)):
-        noise = rng.random((cells + 1, cells + 1, 1))
-        acc += amp * _resize_features(noise, h, w)[..., 0]
+        acc += amp * resize_grid(rng.random((cells + 1, cells + 1)), h, w)
     lo, hi = acc.min(), acc.max()
     if hi - lo < 1e-9:
         return Image(np.full((h, w), 0.5))

@@ -20,7 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CorrespondenceMap, FeatureMap, GlobalDescriptor, Mask, sample_map
+from .core import (
+    CorrespondenceMap,
+    FeatureMap,
+    GlobalDescriptor,
+    Mask,
+    bilinear_sample_grid,
+    sample_map,
+)
 from .rng import Lcg64
 
 DEFAULT_CYCLIC_EPSILON = 2.0
@@ -41,46 +48,66 @@ class Homography:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64).copy()
+        m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError("homography must be 3x3")
         if not np.isfinite(m).all():
             raise ValueError("homography entries must be finite")
-        if abs(m[2, 2]) > 1e-8:
-            m /= m[2, 2]
-        else:
-            m /= np.linalg.norm(m)
-        if abs(np.linalg.det(m)) <= 1e-12:
+        m = _canonical(m[None])[0]
+        if np.isnan(m).any():
             raise DegenerateModelError("homography is singular")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         """Project (N, 2) points; rows with w <= 1e-12 come back as nan."""
-        pts = np.asarray(pts, dtype=np.float64)
-        h = self.matrix
-        w = h[2, 0] * pts[:, 0] + h[2, 1] * pts[:, 1] + h[2, 2]
-        x = h[0, 0] * pts[:, 0] + h[0, 1] * pts[:, 1] + h[0, 2]
-        y = h[1, 0] * pts[:, 0] + h[1, 1] * pts[:, 1] + h[1, 2]
-        bad = np.abs(w) <= 1e-12
-        w = np.where(bad, 1.0, w)
-        out = np.stack([x / w, y / w], axis=1)
-        out[bad] = np.nan
-        return out
+        return project(self.matrix, pts)
 
     def inverse(self) -> "Homography":
         return Homography(np.linalg.inv(self.matrix))
 
 
+def project(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Apply (..., 3, 3) homographies to (N, 2) points, giving (..., N, 2);
+    points sent to |w| <= 1e-12 come back as nan."""
+    pts = np.asarray(pts, dtype=np.float64)
+    ph = np.asarray(H, dtype=np.float64) @ np.vstack([pts.T, np.ones(len(pts))])
+    xy, w = ph[..., :2, :], ph[..., 2:, :]
+    bad = np.abs(w) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(xy, w, out=xy)
+    xy[np.broadcast_to(bad, xy.shape)] = np.nan
+    return xy.swapaxes(-1, -2)
+
+
+def _canonical(H: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) homographies scaled to H[2,2] = 1 (to unit norm when
+    H[2,2] is near 0); nan rows where singular or non-finite."""
+    h22 = H[:, 2, 2]
+    scale = np.where(np.abs(h22) > 1e-8, h22, np.linalg.norm(H, axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = H / scale[:, None, None]
+        H[~(np.abs(np.linalg.det(H)) > 1e-12)] = np.nan
+    return H
+
+
 def _hartley_normalize(pts: np.ndarray):
-    c = pts.mean(axis=0)
-    d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
-    if d < 1e-12:
-        raise DegenerateModelError("coincident points")
-    s = math.sqrt(2.0) / d
-    T = np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
-    pn = (pts - c) * s
-    return pn, T
+    """Hartley normalization of (K, N, 2) point sets: centroid to the origin,
+    mean distance to sqrt(2).  Returns the normalized points, the (K, 3, 3)
+    transforms T and their inverses, and a (K,) mask, False where the points
+    coincide."""
+    c = pts.mean(axis=1, keepdims=True)
+    d = np.linalg.norm(pts - c, axis=2).mean(axis=1)
+    ok = d > 1e-9
+    s = np.where(ok, math.sqrt(2) / np.maximum(d, 1e-12), 0.0)
+    T = np.zeros((len(pts), 3, 3))
+    T_inv = np.zeros_like(T)
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * c[:, 0]
+    T_inv[:, 0, 0] = T_inv[:, 1, 1] = 1.0 / np.where(ok, s, 1.0)
+    T_inv[:, :2, 2] = c[:, 0]
+    T[:, 2, 2] = T_inv[:, 2, 2] = 1.0
+    return (pts - c) * s[:, None, None], T, T_inv, ok
 
 
 def _dlt_null_vectors(sn: np.ndarray, dn: np.ndarray):
@@ -89,6 +116,7 @@ def _dlt_null_vectors(sn: np.ndarray, dn: np.ndarray):
     k, n = sn.shape[:2]
     # with fewer than 9 rows svd(full_matrices=False) returns only 2N right
     # singular vectors and drops the null vector, so pad with zero rows
+    # (not full_matrices=True: a (2N, 2N) U is ~5 GB in a 26k-point refit)
     A = np.zeros((k, max(2 * n, 9), 9))
     x, y = sn[..., 0], sn[..., 1]
     u, v = dn[..., 0], dn[..., 1]
@@ -111,6 +139,17 @@ def _dlt_null_vectors(sn: np.ndarray, dn: np.ndarray):
     return Vt[:, -1], ok
 
 
+def _batch_dlt_4pt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Hartley-normalized DLT homographies src -> dst for (K, N, 2) batches
+    (N >= 4), in canonical scale; nan-filled rows where degenerate."""
+    sn, Ts, _, s_ok = _hartley_normalize(src)
+    dn, _, Td_inv, d_ok = _hartley_normalize(dst)
+    h, rank_ok = _dlt_null_vectors(sn, dn)
+    H = Td_inv @ h.reshape(-1, 3, 3) @ Ts
+    H[~(s_ok & d_ok & rank_ok)] = np.nan
+    return _canonical(H)
+
+
 def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     """Least-squares homography with src -> dst, Hartley-normalized DLT.
 
@@ -121,26 +160,43 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2 or len(src) < 4:
         raise ValueError("need matching (N, 2) arrays with N >= 4")
-    sn, Ts = _hartley_normalize(src)
-    dn, Td = _hartley_normalize(dst)
-    # padded, not full_matrices=True: a (2N, 2N) U is ~5 GB in a 26k-point refit
-    h, ok = _dlt_null_vectors(sn[None], dn[None])
-    if not ok[0]:
+    H = _batch_dlt_4pt(src[None], dst[None])[0]
+    if np.isnan(H).any():
         raise DegenerateModelError("degenerate point configuration")
-    Hn = h[0].reshape(3, 3)
-    H = np.linalg.inv(Td) @ Hn @ Ts
     return Homography(H)
+
+
+def _batch_symmetric_errors(models: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(K, N) max(forward, backward) transfer distances; nan or singular
+    models give inf rows."""
+    with np.errstate(invalid="ignore"):
+        inv_ok = np.abs(np.linalg.det(models)) > 1e-12
+    Hinv = np.full_like(models, np.nan)
+    Hinv[inv_ok] = np.linalg.inv(models[inv_ok])
+    with np.errstate(invalid="ignore", over="ignore"):
+        df = project(models, src) - dst
+        db = project(Hinv, dst) - src
+        err = np.maximum(np.hypot(df[..., 0], df[..., 1]), np.hypot(db[..., 0], db[..., 1]))
+    return np.where(np.isfinite(err), err, np.inf)
 
 
 def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """max(forward, backward) transfer distance per correspondence."""
-    fwd = h.apply(src)
-    bwd = h.inverse().apply(dst)
-    with np.errstate(invalid="ignore"):
-        ef = np.linalg.norm(fwd - dst, axis=1)
-        eb = np.linalg.norm(bwd - src, axis=1)
-        err = np.maximum(ef, eb)
-    return np.where(np.isfinite(err), err, np.inf)
+    return _batch_symmetric_errors(h.matrix[None], src, dst)[0]
+
+
+# RANSAC hypotheses are scored in chunks whose (chunk, N) float64 error
+# plane stays within this many bytes, bounding peak memory whatever the config
+SCORE_CHUNK_BYTES = 4 << 20
+
+
+def _count_inliers(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   threshold: float) -> np.ndarray:
+    """(K,) symmetric-transfer inlier counts, scored in chunks over K."""
+    step = max(1, SCORE_CHUNK_BYTES // (8 * max(len(src), 1)))
+    return np.concatenate([
+        (_batch_symmetric_errors(models[i:i + step], src, dst) <= threshold).sum(axis=1)
+        for i in range(0, len(models), step)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,67 +240,6 @@ def _map_correspondences(cmap: CorrespondenceMap, stride: int):
     return pts, coords
 
 
-def _batch_dlt_4pt(src_quads: np.ndarray, dst_quads: np.ndarray) -> np.ndarray:
-    """Homographies for (K, 4, 2) quad batches; nan-filled rows when degenerate."""
-    k = len(src_quads)
-    out = np.full((k, 3, 3), np.nan)
-    s_mean = src_quads.mean(axis=1, keepdims=True)
-    d_mean = dst_quads.mean(axis=1, keepdims=True)
-    s_scale = np.linalg.norm(src_quads - s_mean, axis=2).mean(axis=1)
-    d_scale = np.linalg.norm(dst_quads - d_mean, axis=2).mean(axis=1)
-    ok = (s_scale > 1e-9) & (d_scale > 1e-9)
-    sn = (src_quads - s_mean) * np.where(ok, math.sqrt(2) / np.maximum(s_scale, 1e-12), 0.0)[:, None, None]
-    dn = (dst_quads - d_mean) * np.where(ok, math.sqrt(2) / np.maximum(d_scale, 1e-12), 0.0)[:, None, None]
-
-    h, rank_ok = _dlt_null_vectors(sn, dn)
-    good = ok & rank_ok
-    if not good.any():
-        return out
-    Hn = h[good].reshape(-1, 3, 3)
-    # denormalize: inv(Td) @ Hn @ Ts
-    idx = np.nonzero(good)[0]
-    for j, i in enumerate(idx):
-        ss = math.sqrt(2) / s_scale[i]
-        sd = math.sqrt(2) / d_scale[i]
-        Ts = np.array([[ss, 0, -ss * s_mean[i, 0, 0]], [0, ss, -ss * s_mean[i, 0, 1]], [0, 0, 1.0]])
-        Td_inv = np.array(
-            [[1 / sd, 0, d_mean[i, 0, 0]], [0, 1 / sd, d_mean[i, 0, 1]], [0, 0, 1.0]]
-        )
-        H = Td_inv @ Hn[j] @ Ts
-        if abs(H[2, 2]) > 1e-12 and abs(np.linalg.det(H / H[2, 2])) > 1e-12:
-            out[i] = H / H[2, 2]
-    return out
-
-
-def _batch_symmetric_errors(models: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(K, N) symmetric transfer errors; nan models give inf rows."""
-    k = len(models)
-    n = len(src)
-    errs = np.full((k, n), np.inf)
-    finite = np.isfinite(models).all(axis=(1, 2))
-    if not finite.any():
-        return errs
-    Hs = models[finite]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dets = np.linalg.det(Hs)
-        inv_ok = np.abs(dets) > 1e-12
-        Hinv = np.full_like(Hs, np.nan)
-        if inv_ok.any():
-            Hinv[inv_ok] = np.linalg.inv(Hs[inv_ok])
-        src_h = np.concatenate([src, np.ones((n, 1))], axis=1)
-        dst_h = np.concatenate([dst, np.ones((n, 1))], axis=1)
-        pf = np.einsum("kab,nb->kna", Hs, src_h)
-        pb = np.einsum("kab,nb->kna", Hinv, dst_h)
-        wf = pf[..., 2]
-        wb = pb[..., 2]
-        ef = np.hypot(pf[..., 0] / wf - dst[:, 0], pf[..., 1] / wf - dst[:, 1])
-        eb = np.hypot(pb[..., 0] / wb - src[:, 0], pb[..., 1] / wb - src[:, 1])
-        e = np.maximum(ef, eb)
-        e = np.where(np.isfinite(e) & (np.abs(wf) > 1e-12) & (np.abs(wb) > 1e-12), e, np.inf)
-    errs[finite] = e
-    return errs
-
-
 def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     """Robust homography fit over a dense map's valid correspondences.
 
@@ -271,29 +266,25 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     if config.prescreen and n > 2 * config.prescreen_target:
         step = int(np.ceil(n / config.prescreen_target))
         probe_idx = np.arange(0, n, step)
-        probe_errs = _batch_symmetric_errors(models, pts[probe_idx], coords[probe_idx])
-        probe_counts = (probe_errs <= config.inlier_threshold).sum(axis=1)
+        probe_counts = _count_inliers(models, pts[probe_idx], coords[probe_idx],
+                                      config.inlier_threshold)
         keep = min(config.prescreen_keep, config.iterations)
         # stable sort keeps earlier iterations first among equal counts;
         # re-sorting the kept set preserves the ties-to-earliest rule below
         order = np.argsort(-probe_counts, kind="stable")[:keep]
-        cand_models = models[np.sort(order)]
-    else:
-        cand_models = models
+        models = models[np.sort(order)]
 
-    errs = _batch_symmetric_errors(cand_models, pts, coords)
-    counts = (errs <= config.inlier_threshold).sum(axis=1)
+    counts = _count_inliers(models, pts, coords, config.inlier_threshold)
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
-    best_count = int(counts[best_j])
-    if best_count < config.min_inliers:
+    if counts[best_j] < config.min_inliers:
         return None, empty
 
-    best_model = Homography(cand_models[best_j])
-    inl = errs[best_j] <= config.inlier_threshold
+    best = models[best_j]
+    inl = _batch_symmetric_errors(best[None], pts, coords)[0] <= config.inlier_threshold
     try:
         refit = fit_homography_dlt(pts[inl], coords[inl])
     except DegenerateModelError:
-        refit = best_model
+        refit = Homography(best)
 
     ys, xs = np.nonzero(cmap.valid)
     grid_pts = np.stack([xs, ys], axis=1).astype(np.float64)
@@ -397,7 +388,7 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
         return 0.0
     ys, xs = np.nonzero(sel)
     coords = o_ab.coords[ys, xs]
-    sampled, ok = _sample_features(hyper_a.values, coords[:, 0], coords[:, 1])
+    sampled, ok = bilinear_sample_grid(hyper_a.values, coords[:, 0], coords[:, 1])
     if not ok.any():
         return 0.0
     norms = np.linalg.norm(sampled, axis=1)
@@ -405,26 +396,6 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     target = hyper_b.values[ys[good], xs[good]].astype(np.float64)
     dots = np.einsum("nc,nc->n", sampled[good] / norms[good, None], target)
     return float(dots.sum())
-
-
-def _sample_features(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Bilinear feature sampling at scattered points, float64 accumulators."""
-    h, w = values.shape[:2]
-    ok = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
-    cx = np.where(ok, xs, 0.0)
-    cy = np.where(ok, ys, 0.0)
-    x0 = np.minimum(cx.astype(np.int64), w - 2 if w > 1 else 0)
-    y0 = np.minimum(cy.astype(np.int64), h - 2 if h > 1 else 0)
-    fx = (cx - x0)[:, None]
-    fy = (cy - y0)[:, None]
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    v = values
-    top = v[y0, x0] * (1 - fx) + v[y0, x1] * fx
-    bot = v[y1, x0] * (1 - fx) + v[y1, x1] * fx
-    out = (top * (1 - fy) + bot * fy).astype(np.float64)
-    out[~ok] = 0.0
-    return out, ok
 
 
 def score_s_f(s_l: float, s: float, g: float):

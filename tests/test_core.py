@@ -20,6 +20,8 @@ from corrverify.core import (
     read_cmap,
     read_fmap,
     read_gdsc,
+    half_pixel_axis,
+    resize_grid,
     resize_image,
     sample_map,
     save_image,
@@ -272,6 +274,31 @@ class TestResize:
         img = Image(np.zeros((16, 16)))
         with pytest.raises(ValueError):
             resize_image(img, 7, 16)
+
+
+class TestSharedSamplingKernels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_resizer_matches_scattered_gather(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        h, w = rng.integers(1, 40, 2)
+        new_h, new_w = rng.integers(1, 90, 2)
+        shape = (h, w) if seed % 2 else (h, w, int(rng.integers(1, 5)))
+        values = rng.normal(size=shape)
+        gx, gy = np.meshgrid(half_pixel_axis(w, new_w), half_pixel_axis(h, new_h))
+        gathered, ok = bilinear_sample_grid(values, gx, gy)
+        assert ok.all()
+        assert np.abs(resize_grid(values, new_h, new_w) - gathered).max() <= 1e-12
+
+    def test_float32_gather_bitwise_equals_float64_copy(self):
+        rng = np.random.default_rng(310)
+        values = rng.normal(size=(23, 31, 6)).astype(np.float32)
+        xs = rng.uniform(-2, 32, 500)
+        ys = rng.uniform(-2, 24, 500)
+        got, ok = bilinear_sample_grid(values, xs, ys)
+        want, want_ok = bilinear_sample_grid(values.astype(np.float64), xs, ys)
+        assert got.dtype == np.float64
+        assert np.array_equal(ok, want_ok) and not ok.all()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMapComposition:

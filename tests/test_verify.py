@@ -1,6 +1,8 @@
 """Homography fitting, RANSAC, cyclic consistency and similarity scores."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrverify.core import CorrespondenceMap, FeatureMap, GlobalDescriptor, Mask, identity_map
-from corrverify.synth import apply_warp, make_texture, random_warp
+from corrverify.synth import (
+    WarpSpec,
+    apply_warp,
+    inverse_warp_points,
+    make_texture,
+    random_warp,
+    warp_points,
+)
 from corrverify.verify import (
     DegenerateModelError,
     Homography,
@@ -17,6 +26,7 @@ from corrverify.verify import (
     _batch_dlt_4pt,
     cyclic_mask,
     fit_homography_dlt,
+    project,
     ransac_homography,
     score_g,
     score_pair_s,
@@ -86,6 +96,35 @@ class TestDlt:
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
             fit_homography_dlt(pts, pts)
+
+
+class TestProject:
+    def test_matches_synth_homography_warps(self):
+        spec = random_warp("homography", 0.5, seed=31)
+        h = np.asarray(spec.params["matrix"])
+        pts = np.random.default_rng(32).uniform(-50, 290, (400, 2))
+        fwd = project(h, pts)
+        assert np.allclose(fwd, warp_points(spec, pts), rtol=1e-12, atol=1e-9)
+        back, ok = inverse_warp_points(spec, pts)
+        assert ok.all()
+        assert np.allclose(back, project(np.linalg.inv(h), pts), rtol=1e-12, atol=1e-9)
+        # a stack of models projects model by model
+        both = project(np.stack([h, np.eye(3)]), pts)
+        assert both.shape == (2, 400, 2)
+        assert np.array_equal(both[0], fwd) and np.array_equal(both[1], pts)
+
+    def test_horizon_points_are_nan(self):
+        h = np.array([[1.0, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
+        pts = np.array([[100.0, 5.0], [50.0, 5.0]])
+        out = project(h, pts)
+        assert np.isnan(out[0]).all()
+        assert np.allclose(out[1], [100.0, 10.0])
+        spec = WarpSpec("homography", {"matrix": h}, seed=0, magnitude=0.0)
+        assert np.array_equal(warp_points(spec, pts), out, equal_nan=True)
+        inv_spec = WarpSpec("homography", {"matrix": np.linalg.inv(h)}, seed=0, magnitude=0.0)
+        back, ok = inverse_warp_points(inv_spec, pts)
+        assert ok.tolist() == [False, True]
+        assert np.allclose(back[1], out[1])
 
 
 class TestScoreS:
@@ -336,6 +375,28 @@ class TestRansac:
         b_model, b_mask = ransac_homography(gt_fwd, RansacConfig(seed=5))
         assert np.array_equal(a_mask.bits, b_mask.bits)
         assert a_model.matrix.tobytes() == b_model.matrix.tobytes()
+
+    def test_dense_scoring_memory_bounded(self):
+        # every hypothesis scored against every pixel: 1000 x 14,400 pairs
+        img = make_texture(120, 120, 3)
+        _, gt_fwd, _ = apply_warp(img, random_warp("affine", 0.3, 5, (120, 120)))
+        tracemalloc.start()
+        try:
+            model, inliers = ransac_homography(
+                gt_fwd, RansacConfig(prescreen=False, sample_stride=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
+        # the model and mask an unchunked (K, N) scorer returns for this map
+        expect = np.array([
+            [0.9972986700581392, 0.11283090538689323, -8.672737337593325],
+            [-0.08451828274065219, 1.084155922562195, -1.1394781468739115],
+            [-2.365667808264038e-19, -3.05732536309856e-19, 1.0]])
+        assert np.abs(model.matrix - expect).max() < 1e-9
+        assert inliers.count() == 12697
+        assert hashlib.sha256(inliers.bits.tobytes()).hexdigest() == \
+            "92f66047e3f6ac4ede27d3f8f0b7ec7874595e61b988ed84055b58686c6b2b1d"
 
     def test_too_few_valid_pixels_no_model(self):
         coords = np.zeros((30, 30, 2))
