@@ -70,14 +70,19 @@ class Homography:
 def project(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply (..., 3, 3) homographies to (N, 2) points, giving (..., N, 2);
     points sent to |w| <= 1e-12 come back as nan."""
-    pts = np.asarray(pts, dtype=np.float64)
-    ph = np.asarray(H, dtype=np.float64) @ np.vstack([pts.T, np.ones(len(pts))])
+    ph = np.asarray(H, dtype=np.float64) @ _homogeneous(pts)
     xy, w = ph[..., :2, :], ph[..., 2:, :]
     bad = np.abs(w) <= 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(xy, w, out=xy)
     xy[np.broadcast_to(bad, xy.shape)] = np.nan
     return xy.swapaxes(-1, -2)
+
+
+def _homogeneous(pts: np.ndarray) -> np.ndarray:
+    """(3, N) homogeneous coordinates of (N, 2) points."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return np.vstack([pts.T, np.ones(len(pts))])
 
 
 def _canonical(H: np.ndarray) -> np.ndarray:
@@ -166,37 +171,94 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     return Homography(H)
 
 
-def _batch_symmetric_errors(models: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(K, N) max(forward, backward) transfer distances; nan or singular
-    models give inf rows."""
-    with np.errstate(invalid="ignore"):
-        inv_ok = np.abs(np.linalg.det(models)) > 1e-12
-    Hinv = np.full_like(models, np.nan)
-    Hinv[inv_ok] = np.linalg.inv(models[inv_ok])
+def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """max(forward, backward) transfer distance per correspondence, inf where
+    a point maps to the horizon.  The hypot reference RANSAC's inlier test
+    is checked against."""
     with np.errstate(invalid="ignore", over="ignore"):
-        df = project(models, src) - dst
-        db = project(Hinv, dst) - src
-        err = np.maximum(np.hypot(df[..., 0], df[..., 1]), np.hypot(db[..., 0], db[..., 1]))
+        df = project(h.matrix, src) - dst
+        db = project(np.linalg.inv(h.matrix), dst) - src
+        err = np.maximum(np.hypot(df[:, 0], df[:, 1]), np.hypot(db[:, 0], db[:, 1]))
     return np.where(np.isfinite(err), err, np.inf)
 
 
-def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """max(forward, backward) transfer distance per correspondence."""
-    return _batch_symmetric_errors(h.matrix[None], src, dst)[0]
+def _inverses(models: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) inverses; nan where a model is nan or singular."""
+    with np.errstate(invalid="ignore"):
+        ok = np.abs(np.linalg.det(models)) > 1e-12
+    inv = np.full_like(models, np.nan)
+    inv[ok] = np.linalg.inv(models[ok])
+    return inv
 
 
-# RANSAC hypotheses are scored in chunks whose (chunk, N) float64 error
-# plane stays within this many bytes, bounding peak memory whatever the config
-SCORE_CHUNK_BYTES = 4 << 20
+def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
+             ph: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(K, N) bool: (K, 3, 3) homographies send the (3, N) homogeneous points
+    pts_h to within t of the (3, N) homogeneous target, off the horizon.
+    ph (3, >= K, N) and sq (>= K, N) are float64 scratch, overwritten; ph is
+    laid out plane by plane so that x, y and w are each contiguous.
+
+    The projection and the differences dx, dy are computed exactly as in
+    project and symmetric_transfer_error, but tested as dx*dx + dy*dy <= t*t:
+    the squared sum is within 2 ulp of the exact value and hypot within 1, so
+    only the rare pixels within 1e-12 t*t of the boundary need hypot to
+    reproduce the reference decision.
+    """
+    ph, sq = ph[:, :len(H)], sq[:len(H)]
+    np.matmul(H, pts_h, out=ph.transpose(1, 0, 2))
+    dx, dy, w = ph
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(dx, w, out=dx)
+        np.divide(dy, w, out=dy)
+        dx -= target[0]
+        dy -= target[1]
+        front = np.abs(w, out=w) > 1e-12
+        t2 = t * t
+        if not 1e-280 < t2 < 1e280:
+            # dx*dx can under- or overflow where hypot does not
+            return (np.hypot(dx, dy) <= t) & front
+        np.multiply(dx, dx, out=sq)
+        sq += np.multiply(dy, dy, out=w)
+        ok = sq <= t2 * (1 - 1e-12)
+        maybe = sq <= t2 * (1 + 1e-12)
+        if np.count_nonzero(maybe) != np.count_nonzero(ok):
+            band = maybe & ~ok
+            ok[band] = np.hypot(dx[band], dy[band]) <= t
+    ok &= front
+    return ok
+
+
+# RANSAC hypotheses are scored in chunks over K whose (chunk, N) float64
+# planes stay within this many bytes, so the scratch planes stay in cache
+# (and peak memory is bounded whatever the config).  The planes are allocated
+# once per call and reused: fresh planes of this size would sit near malloc's
+# mmap threshold and be mapped and page-faulted anew for every ufunc.
+SCORE_CHUNK_BYTES = 256 << 10
+
+
+def _inlier_chunks(models: np.ndarray, src: np.ndarray, dst: np.ndarray, threshold: float):
+    """Symmetric inlier masks of (K, 3, 3) models on src -> dst pairs, as
+    (chunk, N) blocks over K: a pair is an inlier iff it passes the forward
+    and the backward test."""
+    inv = _inverses(models)
+    src_h, dst_h = _homogeneous(src), _homogeneous(dst)
+    step = max(1, min(len(models), SCORE_CHUNK_BYTES // (8 * max(len(src), 1))))
+    ph, sq = np.empty((3, step, len(src))), np.empty((step, len(src)))
+    for i in range(0, len(models), step):
+        yield (_inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq)
+               & _inliers(inv[i:i + step], dst_h, src_h, threshold, ph, sq))
 
 
 def _count_inliers(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
                    threshold: float) -> np.ndarray:
-    """(K,) symmetric-transfer inlier counts, scored in chunks over K."""
-    step = max(1, SCORE_CHUNK_BYTES // (8 * max(len(src), 1)))
-    return np.concatenate([
-        (_batch_symmetric_errors(models[i:i + step], src, dst) <= threshold).sum(axis=1)
-        for i in range(0, len(models), step)])
+    """(K,) symmetric-transfer inlier counts."""
+    return np.concatenate([m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)])
+
+
+def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 threshold: float) -> np.ndarray:
+    """(N,) symmetric-transfer inlier mask of one (3, 3) model."""
+    return next(_inlier_chunks(model[None], src, dst, threshold))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +291,12 @@ class RansacConfig:
             raise ValueError("inlier_threshold must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        if self.min_inliers < 0:
+            raise ValueError("min_inliers must be >= 0")
+        if self.prescreen_target < 1:
+            raise ValueError("prescreen_target must be >= 1")
+        if self.prescreen_keep < 1:
+            raise ValueError("prescreen_keep must be >= 1")
 
 
 def _map_correspondences(cmap: CorrespondenceMap, stride: int):
@@ -280,7 +348,7 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
         return None, empty
 
     best = models[best_j]
-    inl = _batch_symmetric_errors(best[None], pts, coords)[0] <= config.inlier_threshold
+    inl = _inlier_mask(best, pts, coords, config.inlier_threshold)
     try:
         refit = fit_homography_dlt(pts[inl], coords[inl])
     except DegenerateModelError:
@@ -288,9 +356,9 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 
     ys, xs = np.nonzero(cmap.valid)
     grid_pts = np.stack([xs, ys], axis=1).astype(np.float64)
-    grid_err = symmetric_transfer_error(refit, grid_pts, cmap.coords[ys, xs])
     bits = np.zeros((cmap.height, cmap.width), dtype=bool)
-    bits[ys, xs] = grid_err <= config.inlier_threshold
+    bits[ys, xs] = _inlier_mask(refit.matrix, grid_pts, cmap.coords[ys, xs],
+                                config.inlier_threshold)
     return refit, Mask(bits)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrverify import verify
 from corrverify.core import CorrespondenceMap, FeatureMap, GlobalDescriptor, Mask, identity_map
 from corrverify.synth import (
     WarpSpec,
@@ -24,6 +25,7 @@ from corrverify.verify import (
     RansacConfig,
     VariantInputs,
     _batch_dlt_4pt,
+    _count_inliers,
     cyclic_mask,
     fit_homography_dlt,
     project,
@@ -387,7 +389,7 @@ class TestRansac:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2 ** 20
+        assert peak < 16 * 2 ** 20
         # the model and mask an unchunked (K, N) scorer returns for this map
         expect = np.array([
             [0.9972986700581392, 0.11283090538689323, -8.672737337593325],
@@ -405,6 +407,133 @@ class TestRansac:
         cmap = CorrespondenceMap(coords, valid)
         model, inliers = ransac_homography(cmap, RansacConfig(seed=6))
         assert model is None and inliers.count() == 0
+
+
+class TestRansacConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 0), ("inlier_threshold", 0.0), ("sample_stride", 0),
+        ("min_inliers", -1), ("prescreen_target", 0), ("prescreen_target", -5),
+        ("prescreen_keep", 0), ("prescreen_keep", -1)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: value})
+
+    def test_accepts_smallest_values(self):
+        cfg = RansacConfig(iterations=1, min_inliers=0, prescreen_target=1, prescreen_keep=1)
+        model, inliers = ransac_homography(identity_map(40, 40), cfg)
+        assert model is not None and inliers.count() == 40 * 40
+
+
+def reference_counts(models, src, dst, t):
+    """Row-wise inlier counts by the hypot reference; rows that are not a
+    valid homography (nan, singular) count nothing."""
+    counts = []
+    for m in models:
+        try:
+            h = Homography(m)
+        except ValueError:
+            counts.append(0)
+            continue
+        assert h.matrix.tobytes() == m.tobytes()
+        counts.append(int((symmetric_transfer_error(h, src, dst) <= t).sum()))
+    return np.array(counts)
+
+
+def boundary_pairs(t, rng):
+    """Pairs at distance t from the origin, one ulp either side, and at
+    random angles (where dx*dx + dy*dy and hypot may round apart)."""
+    d = [t, np.nextafter(t, 0), np.nextafter(t, np.inf)]
+    axis = [(s * r, 0.0) for r in d for s in (1, -1)] + [(0.0, s * r) for r in d for s in (1, -1)]
+    ang = rng.uniform(0, 2 * np.pi, 1000)
+    rim = np.stack([t * np.cos(ang), t * np.sin(ang)], axis=1)
+    rim = np.concatenate([rim, np.nextafter(rim, 0), np.nextafter(rim, np.inf)])
+    dst = np.concatenate([np.array(axis), rim])
+    return np.zeros_like(dst), dst
+
+
+class TestInlierKernel:
+    @pytest.mark.parametrize("t", [3.0, 0.75, 1e-200, 1e200])
+    def test_counts_match_hypot_reference(self, t):
+        rng = np.random.default_rng(41)
+        truth = np.array([[1.02, 0.03, 4.0], [-0.02, 0.97, -3.0], [1e-4, -5e-5, 1.0]])
+        src = rng.uniform(0, 120, (500, 2))
+        dst = project(truth, src) + rng.normal(0, 2.0, src.shape)
+        dst[:100] = rng.uniform(0, 120, (100, 2))
+        b_src, b_dst = boundary_pairs(t, rng)
+        # horizon: w = 0 exactly, and an exact correspondence at w = 2**-40
+        horizon = np.array([[1.0, 0, 0], [0, 1, 0], [2.0 ** -10, 0, 1]])
+        near = -1024.0 + 2.0 ** -30
+        h_src = np.array([[-1024.0, 5.0], [near, 3.0]])
+        h_dst = np.array([[1.0, 1.0], [near * 2.0 ** 40, 3.0 * 2.0 ** 40]])
+        src = np.concatenate([src, b_src, h_src])
+        dst = np.concatenate([dst, b_dst, h_dst])
+
+        step = verify.SCORE_CHUNK_BYTES // (8 * len(src))
+        k = 2 * step + 7
+        assert k % step
+        quads = rng.integers(0, 500, (k - 5, 4))
+        quads[:3] = quads[:3, :1]           # repeated points: nan rows
+        models = _batch_dlt_4pt(src[quads], dst[quads])
+        models = np.concatenate([models, [np.eye(3), horizon, np.full((3, 3), np.nan),
+                                          np.diag([1.0, 1.0, 0.0]), truth]])
+        assert np.isnan(models[:3]).all()
+        got = _count_inliers(models, src, dst, t)
+        assert np.array_equal(got, reference_counts(models, src, dst, t))
+        assert got[-5] > 0 and got[-4] > 0 and got[-3] == got[-2] == 0
+
+    @pytest.mark.parametrize("threshold", [3.0, 1.0])
+    def test_ransac_mask_matches_reference(self, threshold):
+        img = make_texture(120, 120, 43)
+        _, fwd, _ = apply_warp(img, random_warp("tps", 0.5, 43, (120, 120)))
+        coords = fwd.coords + np.random.default_rng(43).normal(0, 1.0, fwd.coords.shape)
+        cmap = CorrespondenceMap(coords, fwd.valid)
+        model, inliers = ransac_homography(cmap, RansacConfig(seed=3, inlier_threshold=threshold))
+        ys, xs = np.nonzero(cmap.valid)
+        err = symmetric_transfer_error(model, np.stack([xs, ys], axis=1).astype(float),
+                                       cmap.coords[ys, xs])
+        expect = np.zeros_like(inliers.bits)
+        expect[ys, xs] = err <= threshold
+        assert np.array_equal(inliers.bits, expect)
+        assert 0 < inliers.count() < cmap.valid.sum()
+
+
+def noisy_pair(kind, seed, magnitude, size=48):
+    """Ground-truth maps of a seeded warp, the forward map jittered and given
+    an outlier patch so that I, C and the two directions differ."""
+    img = make_texture(size, size, seed)
+    _, fwd, bwd = apply_warp(img, random_warp(kind, magnitude, seed, (size, size)))
+    rng = np.random.default_rng(seed)
+    coords = fwd.coords + rng.normal(0, 0.7, fwd.coords.shape)
+    y, x = rng.integers(0, size // 2, 2)
+    coords[y:y + size // 3, x:x + size // 3] = rng.uniform(0, size - 1, (size // 3, size // 3, 2))
+    return CorrespondenceMap(coords, fwd.valid), bwd
+
+
+class TestScoreInvariants:
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["affine", "tps"]), st.integers(0, 2 ** 16),
+           st.floats(0.1, 0.6), st.integers(0, 2 ** 16))
+    def test_pair_score_invariants(self, kind, seed, magnitude, ransac_seed):
+        fwd, bwd = noisy_pair(kind, seed, magnitude)
+        cfg = RansacConfig(iterations=200, seed=ransac_seed)
+        s, r_ab, r_ba = score_pair_s(fwd, bwd, cfg)
+        assert 0.0 <= s <= math.exp(-1)
+        for r in (r_ab, r_ba):
+            assert not (r.consistent_mask.bits & ~r.inlier_mask.bits).any()
+        # symmetric under swapping the pair
+        s_swap, q_ba, q_ab = score_pair_s(bwd, fwd, cfg)
+        assert s_swap == s
+        assert np.array_equal(q_ab.inlier_mask.bits, r_ab.inlier_mask.bits)
+        assert np.array_equal(q_ba.consistent_mask.bits, r_ba.consistent_mask.bits)
+        # seeded determinism
+        s_again, a_ab, a_ba = score_pair_s(fwd, bwd, cfg)
+        assert s_again == s
+        for a, r in ((a_ab, r_ab), (a_ba, r_ba)):
+            assert np.array_equal(a.inlier_mask.bits, r.inlier_mask.bits)
+            assert np.array_equal(a.consistent_mask.bits, r.consistent_mask.bits)
+            assert (a.homography is None) == (r.homography is None)
+            if a.homography is not None:
+                assert a.homography.matrix.tobytes() == r.homography.matrix.tobytes()
 
 
 class TestVerifyDirection:
