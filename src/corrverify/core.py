@@ -43,12 +43,9 @@ class Image:
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim == 2:
-            px = px.copy()
-        elif px.ndim == 3 and px.shape[2] == 3:
-            px = px.copy()
-        else:
+        if not (px.ndim == 2 or (px.ndim == 3 and px.shape[2] == 3)):
             raise ValueError(f"image must be (H, W) or (H, W, 3), got {px.shape}")
+        px = px.copy()
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"empty image {px.shape}")
         if not np.isfinite(px).all():
@@ -249,10 +246,7 @@ def bilinear_sample_grid(values, xs, ys):
     top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
     bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
     out = top * (1.0 - fy) + bot * fy
-    if values.ndim == 3:
-        out[~ok] = 0.0
-    else:
-        out = np.where(ok, out, 0.0)
+    out[~ok] = 0.0
     return out, ok
 
 

@@ -1,8 +1,8 @@
 """Deterministic multi-resolution descriptor pyramid.
 
 A hand-crafted stand-in for a CNN encoder: per-pixel descriptors are
-Gaussian-weighted soft-binned gradient-orientation histograms, optionally
-concatenated with windowed intensity mean/std, L2-normalized per pixel.
+Gaussian-weighted soft-binned gradient-orientation histograms concatenated
+with windowed intensity mean/std, L2-normalized per pixel.
 Five levels halve the working resolution down to 1/16 (240 -> 15), keeping
 the coarse global-correlation problem at 15x15 cells.
 """
@@ -18,28 +18,13 @@ from .core import FeatureMap, GlobalDescriptor, Image, resize_grid, resize_image
 
 WORKING_SIZE = 240
 NUM_LEVELS = 5
-
-
-@dataclass(frozen=True)
-class DescriptorConfig:
-    """Parameters of the per-pixel descriptor."""
-
-    orientation_bins: int = 8
-    window_radius: int = 4
-    gaussian_sigma: float = 2.0
-    include_intensity_stats: bool = True
-
-    def __post_init__(self):
-        if self.orientation_bins < 4:
-            raise ValueError("orientation_bins must be >= 4")
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be >= 1")
-        if self.gaussian_sigma <= 0:
-            raise ValueError("gaussian_sigma must be positive")
-
-    @property
-    def descriptor_dim(self) -> int:
-        return self.orientation_bins + (2 if self.include_intensity_stats else 0)
+# per-pixel descriptor: orientation histogram bins, then the radius and
+# sigma of the Gaussian window the votes and intensity stats are pooled in
+ORIENTATION_BINS = 8
+WINDOW_RADIUS = 4
+GAUSSIAN_SIGMA = 2.0
+# generalized-mean exponent of the global descriptor
+GEM_POWER = 3.0
 
 
 @dataclass(frozen=True)
@@ -62,10 +47,6 @@ class FeaturePyramid:
     def coarsest(self) -> FeatureMap:
         return self.levels[0]
 
-    @property
-    def finest(self) -> FeatureMap:
-        return self.levels[-1]
-
 
 def level_sizes(working_size: int = WORKING_SIZE):
     """Grid sizes coarsest-first: working/16 ... working."""
@@ -85,19 +66,20 @@ def _window_sum(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return correlate1d(tmp, kernel, axis=1, mode="constant", cval=0.0)
 
 
-def dense_descriptors(gray: np.ndarray, config: DescriptorConfig) -> FeatureMap:
+def dense_descriptors(gray: np.ndarray) -> FeatureMap:
     """Per-pixel descriptor map for one pyramid level.
 
     Gradients are central differences on a replicate-padded image.  Each
     gradient votes its magnitude into the two nearest orientation bins
     (linear soft assignment over [0, 2pi)); votes are accumulated under a
-    truncated Gaussian window.  Texture-free pixels keep zero descriptors.
+    truncated Gaussian window, followed by the window's intensity mean and
+    standard deviation.
     """
     img = np.asarray(gray, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("dense_descriptors expects a grayscale (H, W) array")
     h, w = img.shape
-    nb = config.orientation_bins
+    nb = ORIENTATION_BINS
 
     padded = np.pad(img, 1, mode="edge")
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 0.5
@@ -111,18 +93,17 @@ def dense_descriptors(gray: np.ndarray, config: DescriptorConfig) -> FeatureMap:
     w0 = 1.0 - w1
     b1 = (b0 + 1) % nb
 
-    kernel = _gaussian_kernel(config.window_radius, config.gaussian_sigma)
+    kernel = _gaussian_kernel(WINDOW_RADIUS, GAUSSIAN_SIGMA)
     channels = []
     for b in range(nb):
         votes = mag * (w0 * (b0 == b) + w1 * (b1 == b))
         channels.append(_window_sum(votes, kernel))
 
-    if config.include_intensity_stats:
-        wsum = _window_sum(np.ones((h, w)), kernel)
-        m1 = _window_sum(img, kernel) / wsum
-        m2 = _window_sum(img * img, kernel) / wsum
-        sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
-        channels.extend([m1, sd])
+    wsum = _window_sum(np.ones((h, w)), kernel)
+    m1 = _window_sum(img, kernel) / wsum
+    m2 = _window_sum(img * img, kernel) / wsum
+    sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
+    channels.extend([m1, sd])
 
     desc = np.stack(channels, axis=2)
     norms = np.linalg.norm(desc, axis=2, keepdims=True)
@@ -130,11 +111,7 @@ def dense_descriptors(gray: np.ndarray, config: DescriptorConfig) -> FeatureMap:
     return FeatureMap(out.astype(np.float32), unit_normalized=True)
 
 
-def build_pyramid(
-    image: Image,
-    config: DescriptorConfig = DescriptorConfig(),
-    working_size: int = WORKING_SIZE,
-) -> FeaturePyramid:
+def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> FeaturePyramid:
     """Descriptor pyramid of an image at the working resolution.
 
     The image is converted to grayscale and resized to working_size^2; level
@@ -155,7 +132,7 @@ def build_pyramid(
         images.append(cur.pixels)
     images.reverse()  # coarsest first
 
-    levels = tuple(dense_descriptors(im, config) for im in images)
+    levels = tuple(dense_descriptors(im) for im in images)
     return FeaturePyramid(levels, constant_input=constant)
 
 
@@ -190,14 +167,14 @@ def extract_hypercolumn(pyramid: FeaturePyramid, target_hw=(480, 480)) -> Featur
     return FeatureMap(out, unit_normalized=True)
 
 
-def compute_global_descriptor(pyramid: FeaturePyramid, power: float = 3.0) -> GlobalDescriptor:
+def compute_global_descriptor(pyramid: FeaturePyramid) -> GlobalDescriptor:
     """Generalized-mean pooling of the coarsest level, L2-normalized.
 
     All-zero feature maps fall back to the all-equal-components unit vector.
     """
     v = pyramid.coarsest.values.astype(np.float64)
-    m = np.mean(np.sign(v) * np.abs(v) ** power, axis=(0, 1))
-    pooled = np.sign(m) * np.abs(m) ** (1.0 / power)
+    m = np.mean(np.sign(v) * np.abs(v) ** GEM_POWER, axis=(0, 1))
+    pooled = np.sign(m) * np.abs(m) ** (1.0 / GEM_POWER)
     n = np.linalg.norm(pooled)
     if n <= 1e-12:
         dim = pooled.size

@@ -35,6 +35,8 @@ PROBE_GRID = 16
 MIN_JACOBIAN_DET = 0.05
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 80
+JITTER_BRIGHTNESS = 0.1
+JITTER_SIGMA = 0.02
 
 
 class WarpGenerationError(RuntimeError):
@@ -105,14 +107,18 @@ def _tps_solve(controls: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L, rhs)
 
 
+def _projective_matrix(spec: WarpSpec) -> np.ndarray:
+    """3x3 matrix of an affine or homography warp; an affine warp's 2x3
+    matrix gets the last row [0, 0, 1]."""
+    m = np.asarray(spec.params["matrix"], dtype=np.float64)
+    return np.vstack([m, [0.0, 0.0, 1.0]]) if m.shape == (2, 3) else m
+
+
 def warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     """Forward warp of (N, 2) source-frame points."""
     pts = np.asarray(pts, dtype=np.float64)
-    if spec.kind == "affine":
-        m = np.asarray(spec.params["matrix"], dtype=np.float64)
-        return pts @ m[:, :2].T + m[:, 2]
-    if spec.kind == "homography":
-        return project(spec.params["matrix"], pts)
+    if spec.kind != "tps":
+        return project(_projective_matrix(spec), pts)
     controls = np.asarray(spec.params["controls"], dtype=np.float64)
     targets = np.asarray(spec.params["targets"], dtype=np.float64)
     sol = _tps_solve(controls, targets)
@@ -125,12 +131,8 @@ def warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
 def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     """Analytic (N, 2, 2) Jacobians d(warped)/d(source) at the points."""
     pts = np.asarray(pts, dtype=np.float64)
-    n = len(pts)
-    if spec.kind == "affine":
-        m = np.asarray(spec.params["matrix"], dtype=np.float64)
-        return np.broadcast_to(m[:, :2], (n, 2, 2)).copy()
-    if spec.kind == "homography":
-        h = np.asarray(spec.params["matrix"], dtype=np.float64)
+    if spec.kind != "tps":
+        h = _projective_matrix(spec)
         w = pts @ h[2, :2] + h[2, 2]
         # d(p_i)/d(x_j) = (h[i, j] - h[2, j] * p_i) / w for the projected p
         return (h[:2, :2] - project(h, pts)[:, :, None] * h[2, :2]) / w[:, None, None]
@@ -146,7 +148,7 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
         fac = np.where(d2 > 0, np.log(np.where(d2 > 0, d2, 1.0)) + 1.0, 0.0)
     gx = 2.0 * diff[..., 0] * fac        # (N, n_ctl)
     gy = 2.0 * diff[..., 1] * fac
-    jac = np.empty((n, 2, 2))
+    jac = np.empty((len(pts), 2, 2))
     jac[:, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
     jac[:, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
     jac[:, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
@@ -157,13 +159,8 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
 def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
     """Source-frame preimages of warped-frame points; (coords, ok)."""
     pts = np.asarray(pts, dtype=np.float64)
-    if spec.kind == "affine":
-        m = np.asarray(spec.params["matrix"], dtype=np.float64)
-        inv = np.linalg.inv(m[:, :2])
-        out = (pts - m[:, 2]) @ inv.T
-        return out, np.isfinite(out).all(axis=1)
-    if spec.kind == "homography":
-        out = project(np.linalg.inv(np.asarray(spec.params["matrix"], dtype=np.float64)), pts)
+    if spec.kind != "tps":
+        out = project(np.linalg.inv(_projective_matrix(spec)), pts)
         # points mapped from behind the horizon are not preimages
         ok = np.isfinite(out).all(axis=1)
         out[~ok] = 0.0
@@ -293,35 +290,25 @@ def apply_warp(image: Image, spec: WarpSpec):
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     src, ok = inverse_warp_points(spec, grid)
-    coords = src.reshape(h, w, 2)
-    ok = ok.reshape(h, w)
-    inb = (
-        (coords[..., 0] >= 0) & (coords[..., 0] <= w - 1.0)
-        & (coords[..., 1] >= 0) & (coords[..., 1] <= h - 1.0)
-    )
-    fwd_valid = ok & inb
-    safe = np.where(fwd_valid[..., None], coords, 0.0)
-    gt_forward = CorrespondenceMap(safe, fwd_valid)
+    src[~ok] = np.nan
+    gt_forward = CorrespondenceMap.from_coords(src.reshape(h, w, 2), (h, w))
 
-    sampled, _ = bilinear_sample_grid(image.pixels, safe[..., 0], safe[..., 1])
-    if image.channels == 1:
-        warped_px = np.where(fwd_valid, sampled, 0.0)
-    else:
-        warped_px = np.where(fwd_valid[..., None], sampled, 0.0)
-    warped = Image(np.clip(warped_px, 0.0, 1.0))
+    coords = gt_forward.coords
+    sampled, _ = bilinear_sample_grid(image.pixels, coords[..., 0], coords[..., 1])
+    sampled[~gt_forward.valid] = 0.0
+    warped = Image(np.clip(sampled, 0.0, 1.0))
 
     dst = warp_points(spec, grid).reshape(h, w, 2)
     gt_backward = CorrespondenceMap.from_coords(dst, (h, w))
     return warped, gt_forward, gt_backward
 
 
-def photometric_jitter(image: Image, seed: int, brightness: float = 0.1,
-                       noise_sigma: float = 0.02) -> Image:
-    """Optional brightness shift and Gaussian pixel noise."""
+def photometric_jitter(image: Image, seed: int) -> Image:
+    """Uniform brightness shift within +-JITTER_BRIGHTNESS, then Gaussian
+    pixel noise of standard deviation JITTER_SIGMA."""
     rng = generator(seed, "jitter")
-    px = image.pixels + rng.uniform(-brightness, brightness)
-    if noise_sigma > 0:
-        px = px + rng.normal(0.0, noise_sigma, px.shape)
+    px = image.pixels + rng.uniform(-JITTER_BRIGHTNESS, JITTER_BRIGHTNESS)
+    px = px + rng.normal(0.0, JITTER_SIGMA, px.shape)
     return Image(np.clip(px, 0.0, 1.0))
 
 

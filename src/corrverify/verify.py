@@ -63,9 +63,6 @@ class Homography:
         """Project (N, 2) points; rows with w <= 1e-12 come back as nan."""
         return project(self.matrix, pts)
 
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
-
 
 def project(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply (..., 3, 3) homographies to (N, 2) points, giving (..., N, 2);
@@ -265,38 +262,32 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # RANSAC over a dense correspondence map
 # ---------------------------------------------------------------------------
 
+# Hypotheses are scored on the valid pixels of every SAMPLE_STRIDE-th row
+# and column.  When that subgrid has more than 2 * PRESCREEN_TARGET pixels,
+# every hypothesis is first counted on about PRESCREEN_TARGET evenly spaced
+# probe pixels and only the PRESCREEN_KEEP best are scored on the subgrid (a
+# deterministic, order-preserving speedup for smooth dense maps).
+SAMPLE_STRIDE = 2
+PRESCREEN_TARGET = 1800
+PRESCREEN_KEEP = 48
+
+
 @dataclass(frozen=True)
 class RansacConfig:
-    """Seeded homography RANSAC on a dense map.
-
-    Hypotheses are scored on a sample_stride-subsampled grid; with
-    prescreening enabled every hypothesis is first counted on a sparse probe
-    subset and only the prescreen_keep best are scored on the full subgrid
-    (a deterministic, order-preserving speedup for smooth dense maps).
-    """
+    """Seeded homography RANSAC on a dense map."""
 
     iterations: int = 1000
     inlier_threshold: float = 3.0
     min_inliers: int = 20
     seed: int = 0
-    sample_stride: int = 2
-    prescreen: bool = True
-    prescreen_target: int = 1800
-    prescreen_keep: int = 48
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
         if self.min_inliers < 0:
             raise ValueError("min_inliers must be >= 0")
-        if self.prescreen_target < 1:
-            raise ValueError("prescreen_target must be >= 1")
-        if self.prescreen_keep < 1:
-            raise ValueError("prescreen_keep must be >= 1")
 
 
 def _map_correspondences(cmap: CorrespondenceMap, stride: int):
@@ -318,7 +309,7 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     refit model's inliers over all valid pixels.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
-    pts, coords = _map_correspondences(cmap, config.sample_stride)
+    pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
     n = len(pts)
     if n < max(4, config.min_inliers):
         return None, empty
@@ -331,15 +322,14 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     dst_quads = coords[quads]
     models = _batch_dlt_4pt(src_quads, dst_quads)
 
-    if config.prescreen and n > 2 * config.prescreen_target:
-        step = int(np.ceil(n / config.prescreen_target))
+    if n > 2 * PRESCREEN_TARGET:
+        step = int(np.ceil(n / PRESCREEN_TARGET))
         probe_idx = np.arange(0, n, step)
         probe_counts = _count_inliers(models, pts[probe_idx], coords[probe_idx],
                                       config.inlier_threshold)
-        keep = min(config.prescreen_keep, config.iterations)
         # stable sort keeps earlier iterations first among equal counts;
         # re-sorting the kept set preserves the ties-to-earliest rule below
-        order = np.argsort(-probe_counts, kind="stable")[:keep]
+        order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
         models = models[np.sort(order)]
 
     counts = _count_inliers(models, pts, coords, config.inlier_threshold)
@@ -354,11 +344,10 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     except DegenerateModelError:
         refit = Homography(best)
 
-    ys, xs = np.nonzero(cmap.valid)
-    grid_pts = np.stack([xs, ys], axis=1).astype(np.float64)
+    grid_pts, grid_coords = _map_correspondences(cmap, 1)
     bits = np.zeros((cmap.height, cmap.width), dtype=bool)
-    bits[ys, xs] = _inlier_mask(refit.matrix, grid_pts, cmap.coords[ys, xs],
-                                config.inlier_threshold)
+    bits[cmap.valid] = _inlier_mask(refit.matrix, grid_pts, grid_coords,
+                                    config.inlier_threshold)
     return refit, Mask(bits)
 
 

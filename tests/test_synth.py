@@ -5,6 +5,8 @@ import pytest
 
 from corrverify.core import Image, identity_map
 from corrverify.synth import (
+    JITTER_BRIGHTNESS,
+    JITTER_SIGMA,
     BenchmarkManifest,
     WarpGenerationError,
     WarpSpec,
@@ -13,7 +15,9 @@ from corrverify.synth import (
     inverse_warp_points,
     invertibility_probe,
     make_texture,
+    photometric_jitter,
     random_warp,
+    warp_jacobian,
     warp_points,
 )
 from corrverify.verify import cyclic_mask
@@ -100,6 +104,30 @@ class TestApplyWarp:
                 if gt_bwd.valid[y, x]:
                     assert np.allclose(gt_bwd.coords[y, x], q, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_affine_gt_matches_closed_form_oracle(self, seed):
+        # the affine warp runs as a homography with last row [0, 0, 1]; the
+        # closed forms x -> A x + t and x -> A^-1 (x - t) are the oracle
+        spec = random_warp("affine", 0.4, seed=seed)
+        m = np.asarray(spec.params["matrix"])
+        a, t = m[:, :2], m[:, 2]
+        pts = grid_points(240, 240, step=1)
+        assert np.allclose(warp_points(spec, pts), pts @ a.T + t, rtol=0, atol=1e-9)
+        back, ok = inverse_warp_points(spec, pts)
+        assert ok.all()
+        expect_back = (pts - t) @ np.linalg.inv(a).T
+        assert np.allclose(back, expect_back, rtol=0, atol=1e-9)
+        assert np.array_equal(warp_jacobian(spec, pts), np.broadcast_to(a, (len(pts), 2, 2)))
+
+        _, gt_fwd, gt_bwd = apply_warp(make_texture(240, 240, seed=seed), spec)
+        inside = ((expect_back >= 0) & (expect_back <= 239)).all(axis=1).reshape(240, 240)
+        assert np.array_equal(gt_fwd.valid, inside)
+        assert np.allclose(gt_fwd.coords[inside], expect_back.reshape(240, 240, 2)[inside],
+                           rtol=0, atol=1e-9)
+        fwd = (pts @ a.T + t).reshape(240, 240, 2)
+        assert np.array_equal(gt_bwd.valid, ((fwd >= 0) & (fwd <= 239)).all(axis=2))
+        assert np.allclose(gt_bwd.coords[gt_bwd.valid], fwd[gt_bwd.valid], rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("kind", ["affine", "homography", "tps"])
     def test_analytic_composition_near_identity(self, kind):
         spec = random_warp(kind, 0.5, seed=21)
@@ -142,6 +170,24 @@ class TestTexture:
         a = make_texture(64, 64, seed=1)
         b = make_texture(64, 64, seed=2)
         assert np.abs(a.pixels - b.pixels).max() > 0.1
+
+
+class TestPhotometricJitter:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_brightness_shift_and_noise_level(self, seed):
+        img = Image(np.full((64, 64), 0.5))
+        a = photometric_jitter(img, seed).pixels
+        assert np.array_equal(a, photometric_jitter(img, seed).pixels)
+        # mid-gray cannot clip: one uniform shift plus per-pixel noise
+        shift = a.mean() - 0.5
+        assert abs(shift) <= JITTER_BRIGHTNESS + 4 * JITTER_SIGMA / 64
+        assert a.std() == pytest.approx(JITTER_SIGMA, rel=0.1)
+
+    def test_different_seeds_differ(self):
+        img = make_texture(64, 64, seed=3)
+        a, b = photometric_jitter(img, 1).pixels, photometric_jitter(img, 2).pixels
+        assert a.min() >= 0.0 and a.max() <= 1.0
+        assert np.abs(a - b).max() > 0.01
 
 
 class TestGenBenchmark:
