@@ -131,13 +131,7 @@ class CorrespondenceMap:
     def from_coords(cls, coords, source_hw) -> "CorrespondenceMap":
         """Build a map marking valid exactly the in-bounds coordinates."""
         coords = np.asarray(coords, dtype=np.float64)
-        sh, sw = source_hw
-        with np.errstate(invalid="ignore"):
-            valid = (
-                np.isfinite(coords).all(axis=2)
-                & (coords[..., 0] >= 0.0) & (coords[..., 0] <= sw - 1.0)
-                & (coords[..., 1] >= 0.0) & (coords[..., 1] <= sh - 1.0)
-            )
+        valid = _in_bounds(coords[..., 0], coords[..., 1], *source_hw)
         safe = np.where(valid[..., None], coords, 0.0)
         return cls(safe, valid)
 
@@ -205,6 +199,13 @@ class GlobalDescriptor:
 # bilinear sampling
 # ---------------------------------------------------------------------------
 
+def _in_bounds(xs, ys, h: int, w: int) -> np.ndarray:
+    """Positions that are finite and lie in [0, w-1] x [0, h-1]."""
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(xs) & np.isfinite(ys) \
+            & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+
+
 def bilinear_sample(values, x: float, y: float):
     """Bilinear interpolation of a (H, W) or (H, W, C) grid at one point.
 
@@ -212,10 +213,10 @@ def bilinear_sample(values, x: float, y: float):
     [0, W-1] x [0, H-1].
     """
     values = np.asarray(values)
-    h, w = values.shape[:2]
-    if not (0.0 <= x <= w - 1.0 and 0.0 <= y <= h - 1.0):
+    out, ok = bilinear_sample_grid(values, [x], [y])
+    if not ok[0]:
+        h, w = values.shape[:2]
         raise InvalidSampleError(f"sample ({x}, {y}) outside [0,{w - 1}]x[0,{h - 1}]")
-    out, _ = bilinear_sample_grid(values, [x], [y])
     return out[0]
 
 
@@ -228,9 +229,7 @@ def bilinear_sample_grid(values, xs, ys):
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     h, w = values.shape[:2]
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(xs) & np.isfinite(ys) \
-            & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    ok = _in_bounds(xs, ys, h, w)
     cx = np.where(ok, xs, 0.0)
     cy = np.where(ok, ys, 0.0)
     x0 = np.minimum(np.floor(cx).astype(np.int64), max(w - 2, 0))
@@ -283,17 +282,24 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
     return rows[:, x0] * (1 - fx) + rows[:, np.minimum(x0 + 1, w - 1)] * fx
 
 
+def _valid_samples(stacked: np.ndarray, ok=True):
+    """Coordinates and ok of an interpolated np.dstack([coords, valid]) of a
+    map: ok also needs every pixel with a nonzero weight to be valid, and
+    coordinates are 0 where not ok."""
+    ok = ok & (stacked[..., 2] >= 1.0 - 1e-9)
+    coords = stacked[..., :2]
+    coords[~ok] = 0.0
+    return coords, ok
+
+
 def sample_map(cmap: CorrespondenceMap, xs, ys):
-    """Sample a correspondence map at real-valued grid positions.
+    """Sample a correspondence map at real-valued grid positions, with one
+    scattered gather (`bilinear_sample_grid`) of coordinates and validity.
 
     A sample is ok only when the position is in bounds and every grid pixel
     contributing a nonzero interpolation weight is itself valid.
     """
-    coords, ok = bilinear_sample_grid(cmap.coords, xs, ys)
-    vfrac, _ = bilinear_sample_grid(cmap.valid, xs, ys)
-    ok = ok & (vfrac >= 1.0 - 1e-9)
-    coords[~ok] = 0.0
-    return coords, ok
+    return _valid_samples(*bilinear_sample_grid(np.dstack([cmap.coords, cmap.valid]), xs, ys))
 
 
 def identity_map(h: int, w: int) -> CorrespondenceMap:
@@ -329,20 +335,19 @@ def resize_image(image: Image, new_h: int, new_w: int) -> Image:
 
 
 def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> CorrespondenceMap:
-    """Resample a correspondence map onto a new grid, rescaling both the
-    grid positions (half-pixel mapping) and the stored source coordinates.
+    """Resample a correspondence map onto a new grid with the separable
+    tensor-grid resizer (`resize_grid`), rescaling both the grid positions
+    and the stored source coordinates by the half-pixel mapping.
 
     Pixels whose interpolation touches any invalid prior pixel are invalid.
     """
     h, w = cmap.height, cmap.width
     if (new_h, new_w) == (h, w):
         return cmap
-    gx, gy = np.meshgrid(half_pixel_axis(w, new_w), half_pixel_axis(h, new_h))
-    coords, ok = sample_map(cmap, gx, gy)
+    stacked = resize_grid(np.dstack([cmap.coords, cmap.valid]), new_h, new_w)
     # source coordinates rescale with the same half-pixel convention
-    coords = half_pixel(coords, np.array([w, h]), np.array([new_w, new_h]))
-    coords[~ok] = 0.0
-    return CorrespondenceMap(coords, ok)
+    stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
+    return CorrespondenceMap(*_valid_samples(stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +459,6 @@ def read_cmap(path) -> CorrespondenceMap:
     coords = coords.astype(np.float64).reshape(h, w, 2)
     flags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos + 8 * n)
     valid = flags.reshape(h, w) != 0
-    coords = coords.copy()
     coords[~valid] = 0.0
     return CorrespondenceMap(coords, valid)
 

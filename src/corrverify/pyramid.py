@@ -32,16 +32,11 @@ class FeaturePyramid:
     """Per-level unit-normalized feature maps, coarsest first."""
 
     levels: tuple
-    constant_input: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("pyramid needs at least one level")
-
-    @property
-    def level_resolutions(self):
-        return tuple((fm.height, fm.width) for fm in self.levels)
 
     @property
     def coarsest(self) -> FeatureMap:
@@ -122,7 +117,6 @@ def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> FeaturePyra
         raise ValueError("pyramid input must be at least 8x8")
     gray = to_grayscale(image)
     working = resize_image(gray, working_size, working_size)
-    constant = float(np.ptp(working.pixels)) < 1e-12
 
     sizes = level_sizes(working_size)
     images = [working.pixels]
@@ -133,7 +127,7 @@ def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> FeaturePyra
     images.reverse()  # coarsest first
 
     levels = tuple(dense_descriptors(im) for im in images)
-    return FeaturePyramid(levels, constant_input=constant)
+    return FeaturePyramid(levels)
 
 
 def _normalize_rows(arr: np.ndarray) -> None:

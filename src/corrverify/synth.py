@@ -84,27 +84,51 @@ class WarpSpec:
 # forward / inverse evaluation
 # ---------------------------------------------------------------------------
 
-def _tps_kernel(d2: np.ndarray) -> np.ndarray:
-    """U(r) = r^2 log(r^2) evaluated on squared distances, U(0) = 0."""
-    out = np.zeros_like(d2)
+def _tps_basis(pts: np.ndarray, controls: np.ndarray, gradient: bool = False):
+    """Radial basis U = r^2 log r^2 of (N, 2) points against the (n, 2)
+    controls, (N, n), and with ``gradient`` its x and y derivatives
+    2 (p - c)(log r^2 + 1); U and both derivatives are 0 at r = 0."""
+    diff = pts[:, None, :] - controls[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
     pos = d2 > 0
-    out[pos] = d2[pos] * np.log(d2[pos])
-    return out
+    log = np.log(d2, out=np.zeros_like(d2), where=pos)
+    if not gradient:
+        return d2 * log, None
+    fac = np.where(pos, log + 1.0, 0.0)
+    return d2 * log, (2.0 * diff[..., 0] * fac, 2.0 * diff[..., 1] * fac)
 
 
-def _tps_solve(controls: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Weights + affine part per output dimension, (n+3, 2)."""
+def _tps_solve(spec: WarpSpec):
+    """Controls and (n+3, 2) coefficients of a TPS warp: the n kernel
+    weights, then the constant, x and y terms, one column per output
+    dimension."""
+    controls = np.asarray(spec.params["controls"], dtype=np.float64)
+    targets = np.asarray(spec.params["targets"], dtype=np.float64)
     n = len(controls)
-    diff = controls[:, None, :] - controls[None, :, :]
-    K = _tps_kernel((diff ** 2).sum(axis=2))
+    K, _ = _tps_basis(controls, controls)
     P = np.concatenate([np.ones((n, 1)), controls], axis=1)
-    L = np.zeros((n + 3, n + 3))
-    L[:n, :n] = K
-    L[:n, n:] = P
-    L[n:, :n] = P.T
-    rhs = np.zeros((n + 3, 2))
-    rhs[:n] = targets
-    return np.linalg.solve(L, rhs)
+    L = np.block([[K, P], [P.T, np.zeros((3, 3))]])
+    rhs = np.concatenate([targets, np.zeros((3, 2))])
+    return controls, np.linalg.solve(L, rhs)
+
+
+def _tps_eval(tps, pts: np.ndarray, jacobian: bool = False):
+    """Warped (N, 2) points of a solved TPS and, with ``jacobian``, their
+    (N, 2, 2) Jacobians d(warped)/d(source), from one basis evaluation."""
+    controls, sol = tps
+    wts = sol[: len(controls)]           # (n_ctl, 2)
+    affine = sol[len(controls):]         # (3, 2)
+    u, grad = _tps_basis(pts, controls, jacobian)
+    warped = affine[0] + pts @ affine[1:] + u @ wts
+    if not jacobian:
+        return warped, None
+    gx, gy = grad                        # (N, n_ctl) each
+    jac = np.empty((len(pts), 2, 2))
+    jac[:, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
+    jac[:, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
+    jac[:, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
+    jac[:, 1, 1] = affine[2, 1] + gy @ wts[:, 1]
+    return warped, jac
 
 
 def _projective_matrix(spec: WarpSpec) -> np.ndarray:
@@ -119,13 +143,7 @@ def warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
         return project(_projective_matrix(spec), pts)
-    controls = np.asarray(spec.params["controls"], dtype=np.float64)
-    targets = np.asarray(spec.params["targets"], dtype=np.float64)
-    sol = _tps_solve(controls, targets)
-    d2 = ((pts[:, None, :] - controls[None, :, :]) ** 2).sum(axis=2)
-    u = _tps_kernel(d2)
-    affine = sol[len(controls):]
-    return affine[0] + pts @ affine[1:].T + u @ sol[: len(controls)]
+    return _tps_eval(_tps_solve(spec), pts)[0]
 
 
 def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
@@ -136,24 +154,7 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
         w = pts @ h[2, :2] + h[2, 2]
         # d(p_i)/d(x_j) = (h[i, j] - h[2, j] * p_i) / w for the projected p
         return (h[:2, :2] - project(h, pts)[:, :, None] * h[2, :2]) / w[:, None, None]
-    controls = np.asarray(spec.params["controls"], dtype=np.float64)
-    targets = np.asarray(spec.params["targets"], dtype=np.float64)
-    sol = _tps_solve(controls, targets)
-    wts = sol[: len(controls)]           # (n_ctl, 2)
-    affine = sol[len(controls):]         # (3, 2)
-    diff = pts[:, None, :] - controls[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    # dU/dx = 2*(x-cx)*(log(d^2)+1); limit 0 at d=0
-    with np.errstate(divide="ignore"):
-        fac = np.where(d2 > 0, np.log(np.where(d2 > 0, d2, 1.0)) + 1.0, 0.0)
-    gx = 2.0 * diff[..., 0] * fac        # (N, n_ctl)
-    gy = 2.0 * diff[..., 1] * fac
-    jac = np.empty((len(pts), 2, 2))
-    jac[:, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
-    jac[:, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
-    jac[:, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
-    jac[:, 1, 1] = affine[2, 1] + gy @ wts[:, 1]
-    return jac
+    return _tps_eval(_tps_solve(spec), pts, jacobian=True)[1]
 
 
 def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
@@ -170,12 +171,13 @@ def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
 
 def _tps_invert(spec: WarpSpec, pts: np.ndarray):
     """Dense Newton inversion of the forward TPS map."""
+    tps = _tps_solve(spec)
     x = pts.copy()
     active = np.ones(len(pts), dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         if not active.any():
             break
-        f = warp_points(spec, x[active])
+        f, jac = _tps_eval(tps, x[active], jacobian=True)
         r = f - pts[active]
         err = np.abs(r).max(axis=1)
         still = err > NEWTON_TOL
@@ -184,7 +186,7 @@ def _tps_invert(spec: WarpSpec, pts: np.ndarray):
         if not still.any():
             break
         sub = idx[still]
-        jac = warp_jacobian(spec, x[sub])
+        jac = jac[still]
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         ok = np.abs(det) > 1e-12
         det = np.where(ok, det, 1.0)
@@ -197,7 +199,7 @@ def _tps_invert(spec: WarpSpec, pts: np.ndarray):
         # singular-Jacobian points cannot make progress
         active[sub[~ok]] = False
 
-    f = warp_points(spec, x)
+    f, _ = _tps_eval(tps, x)
     resid = np.abs(f - pts).max(axis=1)
     good = np.isfinite(resid) & (resid <= 10 * NEWTON_TOL)
     x[~good] = 0.0

@@ -379,11 +379,9 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 class VerificationResult:
     """One direction of RANSAC + cyclic verification."""
 
-    direction: str                      # "AB" (map on B's grid) or "BA"
     homography: Optional[Homography]
     inlier_mask: Mask                   # I
     consistent_mask: Mask               # C = cyclic AND I
-    cyclic: Mask                        # raw cyclic-consistency mask
 
     def __post_init__(self):
         if (self.consistent_mask.bits & ~self.inlier_mask.bits).any():
@@ -474,13 +472,12 @@ def beta_for_working_size(height: int, width: int) -> float:
 
 
 def verify_direction(o_fwd: CorrespondenceMap, o_bwd: CorrespondenceMap,
-                     direction: str, ransac: RansacConfig,
+                     ransac: RansacConfig,
                      epsilon: float = DEFAULT_CYCLIC_EPSILON) -> VerificationResult:
-    """RANSAC + cyclic consistency for one map direction."""
+    """RANSAC + cyclic consistency for the map o_fwd, checked against o_bwd."""
     model, inliers = ransac_homography(o_fwd, ransac)
-    cyc = cyclic_mask(o_fwd, o_bwd, epsilon)
-    consistent = Mask(cyc.bits & inliers.bits)
-    return VerificationResult(direction, model, inliers, consistent, cyc)
+    consistent = Mask(cyclic_mask(o_fwd, o_bwd, epsilon).bits & inliers.bits)
+    return VerificationResult(model, inliers, consistent)
 
 
 def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
@@ -493,8 +490,8 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
     symmetric under swapping the input pair.
     """
     beta = beta_for_working_size(o_ab.height, o_ab.width)
-    r_ab = verify_direction(o_ab, o_ba, "AB", ransac, epsilon)
-    r_ba = verify_direction(o_ba, o_ab, "BA", ransac, epsilon)
+    r_ab = verify_direction(o_ab, o_ba, ransac, epsilon)
+    r_ba = verify_direction(o_ba, o_ab, ransac, epsilon)
     s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, beta)
     s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, beta)
     return max(s_ab, s_ba), r_ab, r_ba

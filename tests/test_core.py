@@ -20,7 +20,9 @@ from corrverify.core import (
     read_cmap,
     read_fmap,
     read_gdsc,
+    half_pixel,
     half_pixel_axis,
+    resample_map,
     resize_grid,
     resize_image,
     sample_map,
@@ -299,6 +301,77 @@ class TestSharedSamplingKernels:
         assert got.dtype == np.float64
         assert np.array_equal(ok, want_ok) and not ok.all()
         assert got.tobytes() == want.tobytes()
+
+
+def sample_map_oracle(cmap, xs, ys):
+    """sample_map with coordinates and validity gathered one at a time."""
+    coords, ok = bilinear_sample_grid(cmap.coords, xs, ys)
+    vfrac, _ = bilinear_sample_grid(cmap.valid, xs, ys)
+    ok &= vfrac >= 1.0 - 1e-9
+    coords[~ok] = 0.0
+    return coords, ok
+
+
+def resample_oracle(cmap, new_h, new_w):
+    """resample_map as a scattered gather on the half-pixel tensor grid,
+    then the half-pixel rescale of the stored coordinates."""
+    h, w = cmap.height, cmap.width
+    gx, gy = np.meshgrid(half_pixel_axis(w, new_w), half_pixel_axis(h, new_h))
+    coords, ok = sample_map_oracle(cmap, gx, gy)
+    coords = half_pixel(coords, np.array([w, h]), np.array([new_w, new_h]))
+    coords[~ok] = 0.0
+    return coords, ok
+
+
+class TestSampleMap:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_separate_gathers(self, seed):
+        rng = np.random.default_rng(330 + seed)
+        h, w = rng.integers(2, 30, 2)
+        coords = np.stack([rng.uniform(0, w - 1, (h, w)), rng.uniform(0, h - 1, (h, w))], axis=2)
+        valid = rng.random((h, w)) > 0.2
+        cmap = CorrespondenceMap(np.where(valid[..., None], coords, 0.0), valid)
+        xs, ys = rng.uniform(-2, w + 1, (40, 50)), rng.uniform(-2, h + 1, (40, 50))
+        want, want_ok = sample_map_oracle(cmap, xs, ys)
+        got, ok = sample_map(cmap, xs, ys)
+        assert np.array_equal(ok, want_ok) and 0 < ok.sum() < ok.size
+        assert got.tobytes() == want.tobytes()
+
+
+class TestResampleMap:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_gather_oracle(self, seed):
+        rng = np.random.default_rng(320 + seed)
+        h, w = rng.integers(2, 40, 2)
+        new_h, new_w = rng.integers(1, 90, 2)
+        coords = np.stack([rng.uniform(0, w - 1, (h, w)), rng.uniform(0, h - 1, (h, w))], axis=2)
+        valid = rng.random((h, w)) > 0.1
+        valid[: h // 3, : w // 4] = False
+        cmap = CorrespondenceMap(np.where(valid[..., None], coords, 0.0), valid)
+        got = resample_map(cmap, new_h, new_w)
+        want, want_ok = resample_oracle(cmap, new_h, new_w)
+        assert (got.height, got.width) == (new_h, new_w)
+        assert np.array_equal(got.valid, want_ok)
+        assert np.abs(got.coords - want).max() <= 1e-12
+
+    def test_identity_size_returns_input(self):
+        cmap = identity_map(7, 9)
+        assert resample_map(cmap, 7, 9) is cmap
+
+    def test_invalid_source_pixel_invalidates_its_footprint(self):
+        valid = np.ones((4, 4), dtype=bool)
+        valid[1, 1] = False
+        cmap = CorrespondenceMap(identity_map(4, 4).coords, valid)
+        out = resample_map(cmap, 8, 8)
+        # grid pixel i of the 8-pixel axis sits at 0.5 i - 0.25 (clipped to
+        # [0, 3]); it draws on source pixel 1 iff that position is in (0, 2)
+        touches = (np.arange(8) >= 1) & (np.arange(8) <= 4)
+        assert np.array_equal(out.valid, ~(touches[:, None] & touches[None, :]))
+        # the identity's coordinates are the clipped positions, rescaled
+        axis = half_pixel(half_pixel_axis(4, 8), 4, 8)
+        want = np.stack(np.meshgrid(axis, axis), axis=2)
+        assert np.abs(out.coords[out.valid] - want[out.valid]).max() <= 1e-12
+        assert not out.coords[~out.valid].any()
 
 
 class TestMapComposition:

@@ -1,7 +1,8 @@
-"""Package declarations: every documented module, script entry point and
-declared dependency must exist."""
+"""Package declarations: every documented module, script entry point,
+declared dependency and benchmark-traced layer must exist."""
 
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import corrverify
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def project_table() -> dict:
@@ -39,3 +41,18 @@ def test_declared_dependencies_import():
     for requirement in project_table()["dependencies"]:
         name = re.match(r"[A-Za-z0-9_.\-]+", requirement).group(0)
         importlib.import_module(name.lower().replace("-", "_"))
+
+
+def test_benchmark_traced_layers_resolve():
+    # perfbench/spans.py times layers by rebinding these names; one that no
+    # longer exists would make the traced benchmark fail at install time
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYER_FUNCTIONS and spans.LAYER_METHODS
+    for module, name, _ in spans.LAYER_FUNCTIONS:
+        obj = getattr(importlib.import_module(f"corrverify.{module}"), name, None)
+        assert callable(obj), f"corrverify.{module}.{name} does not resolve"
+    for module, cls, method in spans.LAYER_METHODS:
+        owner = getattr(importlib.import_module(f"corrverify.{module}"), cls, None)
+        assert callable(getattr(owner, method, None)), f"corrverify.{module}.{cls}.{method} does not resolve"

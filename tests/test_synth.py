@@ -1,5 +1,7 @@
 """Synthetic warps, ground-truth maps and benchmark generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,27 @@ class TestRandomWarp:
         back = WarpSpec.from_dict(spec.to_dict())
         pts = grid_points(240, 240)
         assert np.array_equal(warp_points(spec, pts), warp_points(back, pts))
+
+
+class TestWarpJacobian:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["tps", "homography"])
+    def test_matches_central_differences(self, kind, seed):
+        spec = random_warp(kind, 0.5, seed=seed)
+        pts = grid_points(240, 240, step=13)
+        if kind == "tps":
+            # at a control point the kernel's derivative is its r -> 0 limit
+            pts = np.vstack([pts, spec.params["controls"]])
+        eps = 1e-4
+        numeric = np.stack([(warp_points(spec, pts + d) - warp_points(spec, pts - d)) / (2 * eps)
+                            for d in np.eye(2) * eps], axis=2)
+        assert np.abs(warp_jacobian(spec, pts) - numeric).max() < 1e-7
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tps_maps_controls_to_targets(self, seed):
+        spec = random_warp("tps", 0.5, seed=seed)
+        got = warp_points(spec, spec.params["controls"])
+        assert np.abs(got - spec.params["targets"]).max() < 1e-9
 
 
 class TestApplyWarp:
@@ -127,6 +150,18 @@ class TestApplyWarp:
         fwd = (pts @ a.T + t).reshape(240, 240, 2)
         assert np.array_equal(gt_bwd.valid, ((fwd >= 0) & (fwd <= 239)).all(axis=2))
         assert np.allclose(gt_bwd.coords[gt_bwd.valid], fwd[gt_bwd.valid], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "818131cf4374908c01dd48b82df3c771eca0f1028c2fbd9091df2455b8549522"),
+        (4, "543022d10955e5bfe76291e6deb0dfe4c21a0fea3b616e6c5602461c7dc09841"),
+    ])
+    def test_tps_outputs_pinned(self, seed, digest):
+        spec = random_warp("tps", 0.5, seed=seed)
+        warped, gt_fwd, gt_bwd = apply_warp(make_texture(240, 240, seed=seed), spec)
+        h = hashlib.sha256()
+        for a in (warped.pixels, gt_fwd.coords, gt_fwd.valid, gt_bwd.coords, gt_bwd.valid):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("kind", ["affine", "homography", "tps"])
     def test_analytic_composition_near_identity(self, kind):

@@ -537,7 +537,7 @@ class TestScoreInvariants:
 class TestVerifyDirection:
     def test_consistent_subset_of_inliers(self):
         _, gt_fwd, gt_bwd = gt_maps_for("homography", seed=19)
-        res = verify_direction(gt_fwd, gt_bwd, "AB", RansacConfig(seed=7))
+        res = verify_direction(gt_fwd, gt_bwd, RansacConfig(seed=7))
         assert not (res.consistent_mask.bits & ~res.inlier_mask.bits).any()
         assert res.num_consistent <= res.num_inliers
         assert res.num_consistent > 0
