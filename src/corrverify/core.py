@@ -414,7 +414,7 @@ def save_image(image: Image, path) -> None:
     header = magic + b"\n%d %d\n255\n" % (image.width, image.height)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(q.tobytes())
+        f.write(q)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +443,8 @@ def write_cmap(cmap: CorrespondenceMap, path) -> None:
     h, w = cmap.height, cmap.width
     with open(path, "wb") as f:
         f.write(b"CMAP" + struct.pack("<III", 1, h, w))
-        f.write(cmap.coords.astype("<f4").tobytes())
-        f.write(cmap.valid.astype(np.uint8).tobytes())
+        f.write(np.ascontiguousarray(cmap.coords, dtype="<f4"))
+        f.write(np.ascontiguousarray(cmap.valid, dtype=np.uint8))
 
 
 def read_cmap(path) -> CorrespondenceMap:
@@ -467,7 +467,7 @@ def write_fmap(fmap: FeatureMap, path) -> None:
     h, w, c = fmap.values.shape
     with open(path, "wb") as f:
         f.write(b"FMAP" + struct.pack("<IIII", 1, h, w, c))
-        f.write(fmap.values.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(fmap.values, dtype="<f4"))
 
 
 def read_fmap(path) -> FeatureMap:
@@ -484,7 +484,7 @@ def read_fmap(path) -> FeatureMap:
 def write_gdsc(desc: GlobalDescriptor, path) -> None:
     with open(path, "wb") as f:
         f.write(b"GDSC" + struct.pack("<II", 1, desc.dim))
-        f.write(desc.values.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(desc.values, dtype="<f4"))
 
 
 def read_gdsc(path) -> GlobalDescriptor:

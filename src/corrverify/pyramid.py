@@ -3,13 +3,12 @@
 A hand-crafted stand-in for a CNN encoder: per-pixel descriptors are
 Gaussian-weighted soft-binned gradient-orientation histograms concatenated
 with windowed intensity mean/std, L2-normalized per pixel.
-Five levels halve the working resolution down to 1/16 (240 -> 15), keeping
-the coarse global-correlation problem at 15x15 cells.
+A pyramid is a tuple of ``FeatureMap``s, coarsest first: five levels from
+1/16 of the working resolution up to the full one (15, 30, 60, 120 and 240
+cells a side at 240), each with the same 10 descriptor channels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -25,22 +24,6 @@ WINDOW_RADIUS = 4
 GAUSSIAN_SIGMA = 2.0
 # generalized-mean exponent of the global descriptor
 GEM_POWER = 3.0
-
-
-@dataclass(frozen=True)
-class FeaturePyramid:
-    """Per-level unit-normalized feature maps, coarsest first."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
-            raise ValueError("pyramid needs at least one level")
-
-    @property
-    def coarsest(self) -> FeatureMap:
-        return self.levels[0]
 
 
 def level_sizes(working_size: int = WORKING_SIZE):
@@ -80,34 +63,35 @@ def dense_descriptors(gray: np.ndarray) -> FeatureMap:
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 0.5
     gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) * 0.5
     mag = np.hypot(gx, gy)
-    ang = np.arctan2(gy, gx)
-
-    t = np.mod(ang, 2.0 * np.pi) / (2.0 * np.pi / nb)
+    t = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi / nb)
     b0 = np.floor(t).astype(np.int64) % nb
     w1 = t - np.floor(t)
     w0 = 1.0 - w1
     b1 = (b0 + 1) % nb
 
-    kernel = _gaussian_kernel(WINDOW_RADIUS, GAUSSIAN_SIGMA)
-    channels = []
-    for b in range(nb):
-        votes = mag * (w0 * (b0 == b) + w1 * (b1 == b))
-        channels.append(_window_sum(votes, kernel))
+    # one window-sum pass over the 8 orientation votes, the intensity, its
+    # square and the window weight; each pixel votes into exactly 2 bins
+    stack = np.zeros((h, w, nb + 3))
+    np.put_along_axis(stack, b0[..., None], (mag * w0)[..., None], axis=2)
+    np.put_along_axis(stack, b1[..., None], (mag * w1)[..., None], axis=2)
+    stack[..., nb] = img
+    stack[..., nb + 1] = img * img
+    stack[..., nb + 2] = 1.0
+    sums = _window_sum(stack, _gaussian_kernel(WINDOW_RADIUS, GAUSSIAN_SIGMA))
 
-    wsum = _window_sum(np.ones((h, w)), kernel)
-    m1 = _window_sum(img, kernel) / wsum
-    m2 = _window_sum(img * img, kernel) / wsum
+    wsum = sums[..., nb + 2]
+    m1 = sums[..., nb] / wsum
+    m2 = sums[..., nb + 1] / wsum
     sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
-    channels.extend([m1, sd])
-
-    desc = np.stack(channels, axis=2)
+    desc = np.concatenate([sums[..., :nb], m1[..., None], sd[..., None]], axis=2)
     norms = np.linalg.norm(desc, axis=2, keepdims=True)
     out = np.divide(desc, norms, out=np.zeros_like(desc), where=norms > 1e-12)
     return FeatureMap(out.astype(np.float32), unit_normalized=True)
 
 
-def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> FeaturePyramid:
-    """Descriptor pyramid of an image at the working resolution.
+def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> tuple:
+    """Descriptor pyramid of an image at the working resolution: a tuple of
+    ``FeatureMap``s, coarsest first.
 
     The image is converted to grayscale and resized to working_size^2; level
     images are produced by successive bilinear halving (an exact 2x2 box
@@ -115,19 +99,10 @@ def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> FeaturePyra
     """
     if image.height < 8 or image.width < 8:
         raise ValueError("pyramid input must be at least 8x8")
-    gray = to_grayscale(image)
-    working = resize_image(gray, working_size, working_size)
-
-    sizes = level_sizes(working_size)
-    images = [working.pixels]
-    cur = working
-    for s in reversed(sizes[:-1]):
-        cur = resize_image(cur, s, s)
-        images.append(cur.pixels)
-    images.reverse()  # coarsest first
-
-    levels = tuple(dense_descriptors(im) for im in images)
-    return FeaturePyramid(levels)
+    images = [resize_image(to_grayscale(image), working_size, working_size)]
+    for s in reversed(level_sizes(working_size)[:-1]):
+        images.append(resize_image(images[-1], s, s))
+    return tuple(dense_descriptors(im.pixels) for im in reversed(images))
 
 
 def _normalize_rows(arr: np.ndarray) -> None:
@@ -138,21 +113,22 @@ def _normalize_rows(arr: np.ndarray) -> None:
     arr[(nrm <= 1e-12)[..., 0]] = 0
 
 
-def extract_hypercolumn(pyramid: FeaturePyramid, target_hw=(480, 480)) -> FeatureMap:
+def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     """Concatenated multi-level descriptors at one resolution, unit rows.
 
-    Each level is bilinearly upsampled to the target grid and per-pixel
-    renormalized before concatenation; the concatenated vector is normalized
-    again so every non-degenerate pixel has unit norm.
+    ``pyramid`` is a tuple of ``FeatureMap``s, coarsest first.  Each level
+    is bilinearly upsampled to the target grid and per-pixel renormalized
+    before concatenation; the concatenated vector is normalized again so
+    every non-degenerate pixel has unit norm.
     """
     th, tw = target_hw
-    ch, cw = pyramid.coarsest.height, pyramid.coarsest.width
+    ch, cw = pyramid[0].height, pyramid[0].width
     if th < ch or tw < cw:
         raise ValueError("target resolution must be at least the coarsest level")
-    total_c = sum(fm.channels for fm in pyramid.levels)
+    total_c = sum(fm.channels for fm in pyramid)
     out = np.empty((th, tw, total_c), dtype=np.float32)
     ofs = 0
-    for fm in pyramid.levels:
+    for fm in pyramid:
         up = resize_grid(fm.values, th, tw)
         _normalize_rows(up)
         out[:, :, ofs : ofs + fm.channels] = up
@@ -161,12 +137,13 @@ def extract_hypercolumn(pyramid: FeaturePyramid, target_hw=(480, 480)) -> Featur
     return FeatureMap(out, unit_normalized=True)
 
 
-def compute_global_descriptor(pyramid: FeaturePyramid) -> GlobalDescriptor:
-    """Generalized-mean pooling of the coarsest level, L2-normalized.
+def compute_global_descriptor(pyramid: tuple) -> GlobalDescriptor:
+    """Generalized-mean pooling of the coarsest level (``pyramid[0]`` of a
+    tuple of ``FeatureMap``s, coarsest first), L2-normalized.
 
     All-zero feature maps fall back to the all-equal-components unit vector.
     """
-    v = pyramid.coarsest.values.astype(np.float64)
+    v = pyramid[0].values.astype(np.float64)
     m = np.mean(np.sign(v) * np.abs(v) ** GEM_POWER, axis=(0, 1))
     pooled = np.sign(m) * np.abs(m) ** (1.0 / GEM_POWER)
     n = np.linalg.norm(pooled)

@@ -50,17 +50,14 @@ class Lcg64:
         self.state = (self.state * self.MUL + self.INC) & _MASK64
         return self.state
 
-    def next_u32(self) -> int:
-        # top bits have the longest period
-        return self._step() >> 32
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection of the biased tail."""
         if n <= 0:
             raise ValueError("bound must be positive")
         lim = (1 << 32) - ((1 << 32) % n)
         while True:
-            v = self.next_u32()
+            # top bits have the longest period
+            v = self._step() >> 32
             if v < lim:
                 return v % n
 

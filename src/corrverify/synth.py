@@ -11,7 +11,7 @@ distractors with exhaustive relevance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,14 @@ class WarpSpec:
     def __post_init__(self):
         if self.kind not in WARP_KINDS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
+        if self.kind != "tps":
+            # projective warps hold a 3x3 matrix; an affine 2x3 one is lifted
+            m = np.asarray(self.params["matrix"], dtype=np.float64)
+            if self.kind == "affine" and m.shape == (2, 3):
+                m = np.vstack([m, [0.0, 0.0, 1.0]])
+            if m.shape != (3, 3):
+                raise ValueError(f"{self.kind} matrix must be 3x3, got {m.shape}")
+            object.__setattr__(self, "params", {**self.params, "matrix": m})
 
     def to_dict(self) -> dict:
         return {
@@ -131,18 +139,11 @@ def _tps_eval(tps, pts: np.ndarray, jacobian: bool = False):
     return warped, jac
 
 
-def _projective_matrix(spec: WarpSpec) -> np.ndarray:
-    """3x3 matrix of an affine or homography warp; an affine warp's 2x3
-    matrix gets the last row [0, 0, 1]."""
-    m = np.asarray(spec.params["matrix"], dtype=np.float64)
-    return np.vstack([m, [0.0, 0.0, 1.0]]) if m.shape == (2, 3) else m
-
-
 def warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     """Forward warp of (N, 2) source-frame points."""
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
-        return project(_projective_matrix(spec), pts)
+        return project(spec.params["matrix"], pts)
     return _tps_eval(_tps_solve(spec), pts)[0]
 
 
@@ -150,7 +151,7 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     """Analytic (N, 2, 2) Jacobians d(warped)/d(source) at the points."""
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
-        h = _projective_matrix(spec)
+        h = spec.params["matrix"]
         w = pts @ h[2, :2] + h[2, 2]
         # d(p_i)/d(x_j) = (h[i, j] - h[2, j] * p_i) / w for the projected p
         return (h[:2, :2] - project(h, pts)[:, :, None] * h[2, :2]) / w[:, None, None]
@@ -161,7 +162,7 @@ def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
     """Source-frame preimages of warped-frame points; (coords, ok)."""
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
-        out = project(np.linalg.inv(_projective_matrix(spec)), pts)
+        out = project(np.linalg.inv(spec.params["matrix"]), pts)
         # points mapped from behind the horizon are not preimages
         ok = np.isfinite(out).all(axis=1)
         out[~ok] = 0.0
@@ -344,30 +345,15 @@ class BenchmarkManifest:
     def relevance(self) -> dict:
         return {q["id"]: list(q["positives"]) for q in self.queries}
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "kind": self.kind,
-            "magnitude": self.magnitude,
-            "working_size": self.working_size,
-            "queries": self.queries,
-            "database": self.database,
-        }
-
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+            json.dump(asdict(self), f, indent=1, sort_keys=True)
             f.write("\n")
 
     @classmethod
     def load(cls, path) -> "BenchmarkManifest":
         with open(path) as f:
-            d = json.load(f)
-        return cls(
-            seed=d["seed"], kind=d["kind"], magnitude=d["magnitude"],
-            working_size=d["working_size"], queries=d["queries"],
-            database=d["database"],
-        )
+            return cls(**json.load(f))
 
 
 def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,

@@ -1,5 +1,7 @@
 """Core types, sampling, resizing and file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,86 @@ class TestFmapGdscIO:
         p.write_bytes(b"GARB" + bytes(32))
         with pytest.raises(ParseError):
             read_fmap(p)
+
+
+class TestWriterBytes:
+    """Each writer's file is a hand-assembled header plus the payload."""
+
+    def test_fmap(self, tmp_path):
+        v = np.random.default_rng(40).standard_normal((5, 6, 7), dtype=np.float32)
+        write_fmap(FeatureMap(v), tmp_path / "f.fmap")
+        expect = b"FMAP" + struct.pack("<IIII", 1, 5, 6, 7) + v.astype("<f4").tobytes()
+        assert (tmp_path / "f.fmap").read_bytes() == expect
+
+    def test_gdsc(self, tmp_path):
+        v = np.random.default_rng(41).standard_normal(16)
+        v /= np.linalg.norm(v)
+        write_gdsc(GlobalDescriptor(v), tmp_path / "g.gdsc")
+        expect = b"GDSC" + struct.pack("<II", 1, 16) + v.astype("<f4").tobytes()
+        assert (tmp_path / "g.gdsc").read_bytes() == expect
+
+    def test_cmap(self, tmp_path):
+        rng = np.random.default_rng(42)
+        coords = rng.random((4, 3, 2)) * 50
+        valid = rng.random((4, 3)) < 0.7
+        write_cmap(CorrespondenceMap(coords, valid), tmp_path / "m.cmap")
+        expect = (b"CMAP" + struct.pack("<III", 1, 4, 3) + coords.astype("<f4").tobytes()
+                  + valid.astype(np.uint8).tobytes())
+        assert (tmp_path / "m.cmap").read_bytes() == expect
+
+    @pytest.mark.parametrize("shape, magic", [((5, 7), b"P5"), ((4, 6, 3), b"P6")])
+    def test_pnm(self, shape, magic, tmp_path):
+        px = np.random.default_rng(43).random(shape)
+        save_image(Image(px), tmp_path / "i.pnm")
+        q = np.rint(px * 255.0).astype(np.uint8)
+        expect = magic + b"\n%d %d\n255\n" % (shape[1], shape[0]) + q.tobytes()
+        assert (tmp_path / "i.pnm").read_bytes() == expect
+
+
+READERS = {
+    "FMAP": (read_fmap, 3),
+    "GDSC": (read_gdsc, 1),
+    "CMAP": (read_cmap, 2),
+}
+
+
+def binary_file(magic, version, dims, payload):
+    return magic.encode() + struct.pack("<%dI" % (1 + len(dims)), version, *dims) + bytes(payload)
+
+
+class TestBinaryReaderRejections:
+    """Malformed FMAP / GDSC / CMAP files raise ParseError at a byte offset."""
+
+    @pytest.fixture(params=sorted(READERS))
+    def fmt(self, request):
+        return request.param
+
+    def reject(self, fmt, data, offset, tmp_path):
+        p = tmp_path / "x.bin"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"at byte {offset}$"):
+            READERS[fmt][0](p)
+
+    def test_truncated_header(self, fmt, tmp_path):
+        n_dims = READERS[fmt][1]
+        data = binary_file(fmt, 1, [2] * n_dims, 0)[:-2]
+        self.reject(fmt, data, len(data), tmp_path)
+
+    def test_truncated_payload(self, fmt, tmp_path):
+        n_dims = READERS[fmt][1]
+        data = binary_file(fmt, 1, [2] * n_dims, 3)
+        self.reject(fmt, data, len(data), tmp_path)
+
+    def test_version_2(self, fmt, tmp_path):
+        n_dims = READERS[fmt][1]
+        self.reject(fmt, binary_file(fmt, 2, [2] * n_dims, 64), 4, tmp_path)
+
+    @pytest.mark.parametrize("bad", [0, (1 << 20) + 1])
+    def test_dimension_out_of_range(self, fmt, bad, tmp_path):
+        n_dims = READERS[fmt][1]
+        dims = [2] * n_dims
+        dims[-1] = bad
+        self.reject(fmt, binary_file(fmt, 1, dims, 64), 8 + 4 * (n_dims - 1), tmp_path)
 
 
 def naive_resize(px, new_h, new_w):

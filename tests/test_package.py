@@ -10,13 +10,14 @@ import pytest
 
 import corrverify
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 
 
 def project_table() -> dict:
+    # tomllib is in the standard library from Python 3.11 on; only the tests
+    # that read pyproject.toml skip without it
+    tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as f:
         return tomllib.load(f)["project"]
 

@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
-from corrverify.core import FeatureMap, Image, bilinear_sample
+from corrverify.core import FeatureMap, Image, bilinear_sample, resize_image, to_grayscale
 from corrverify.pyramid import (
     GAUSSIAN_SIGMA,
     ORIENTATION_BINS,
     WINDOW_RADIUS,
-    FeaturePyramid,
     build_pyramid,
     compute_global_descriptor,
     dense_descriptors,
     extract_hypercolumn,
     level_sizes,
 )
+from corrverify.synth import make_texture
 
 
 def naive_descriptor(img, py, px):
@@ -47,6 +48,74 @@ def naive_descriptor(img, py, px):
     v = np.array(list(hist) + [mu, np.sqrt(max(m2 / wsum - mu * mu, 0.0))])
     n = np.linalg.norm(v)
     return v / n if n > 1e-12 else v
+
+
+def per_bin_descriptors(img):
+    """Reference dense descriptors with one window sum per orientation bin
+    and per intensity statistic, eleven in all."""
+    h, w = img.shape
+    nb = ORIENTATION_BINS
+    padded = np.pad(img, 1, mode="edge")
+    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 0.5
+    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) * 0.5
+    mag = np.hypot(gx, gy)
+    t = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi / nb)
+    b0 = np.floor(t).astype(np.int64) % nb
+    w1 = t - np.floor(t)
+    w0 = 1.0 - w1
+    b1 = (b0 + 1) % nb
+
+    d = np.arange(-WINDOW_RADIUS, WINDOW_RADIUS + 1, dtype=np.float64)
+    kernel = np.exp(-(d * d) / (2.0 * GAUSSIAN_SIGMA * GAUSSIAN_SIGMA))
+
+    def window_sum(arr):
+        tmp = correlate1d(arr, kernel, axis=0, mode="constant", cval=0.0)
+        return correlate1d(tmp, kernel, axis=1, mode="constant", cval=0.0)
+
+    channels = [window_sum(mag * (w0 * (b0 == b) + w1 * (b1 == b))) for b in range(nb)]
+    wsum = window_sum(np.ones((h, w)))
+    m1 = window_sum(img) / wsum
+    m2 = window_sum(img * img) / wsum
+    channels.extend([m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))])
+    desc = np.stack(channels, axis=2)
+    norms = np.linalg.norm(desc, axis=2, keepdims=True)
+    out = np.divide(desc, norms, out=np.zeros_like(desc), where=norms > 1e-12)
+    return out.astype(np.float32)
+
+
+def step_edge(h, w):
+    img = np.full((h, w), 0.2)
+    img[:, w // 3:] = 0.9
+    return img
+
+
+ORACLE_IMAGES = (
+    [make_texture(s, s, seed=s).pixels for s in (15, 30, 60, 120, 240)]
+    + [make_texture(h, w, seed=h * w).pixels for h, w in ((17, 23), (31, 9), (61, 45))]
+    + [np.random.default_rng(s).random((s, s + 2)) for s in (13, 40)]
+    + [np.full((30, 30), 0.37), step_edge(30, 30), step_edge(33, 47).T]
+)
+
+
+class TestDescriptorOracle:
+    @pytest.mark.parametrize("idx", range(len(ORACLE_IMAGES)))
+    def test_bitwise_equal_to_per_bin_window_sums(self, idx):
+        img = ORACLE_IMAGES[idx]
+        assert np.array_equal(dense_descriptors(img).values, per_bin_descriptors(img))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pyramid_and_hypercolumn_bitwise_equal(self, seed):
+        pyr = build_pyramid(make_texture(200, 170, seed=seed))
+        working = resize_image(to_grayscale(make_texture(200, 170, seed=seed)), 240, 240)
+        images = [working]
+        for s in reversed(level_sizes(240)[:-1]):
+            images.append(resize_image(images[-1], s, s))
+        oracle = tuple(FeatureMap(per_bin_descriptors(im.pixels)) for im in reversed(images))
+        assert len(pyr) == len(oracle)
+        for fm, ref in zip(pyr, oracle):
+            assert np.array_equal(fm.values, ref.values)
+        assert np.array_equal(extract_hypercolumn(pyr, (96, 96)).values,
+                              extract_hypercolumn(oracle, (96, 96)).values)
 
 
 class TestDenseDescriptors:
@@ -103,7 +172,7 @@ class TestBuildPyramid:
         assert level_sizes(240) == (15, 30, 60, 120, 240)
         rng = np.random.default_rng(24)
         pyr = build_pyramid(Image(rng.random((100, 130))))
-        resolutions = tuple((fm.height, fm.width) for fm in pyr.levels)
+        resolutions = tuple((fm.height, fm.width) for fm in pyr)
         assert resolutions == ((15, 15), (30, 30), (60, 60), (120, 120), (240, 240))
 
 
@@ -116,7 +185,7 @@ class TestHypercolumn:
 
     def test_identical_levels_scale_halves(self):
         fm = self._unit_field(30, 12, 12, 6)
-        pyr = FeaturePyramid((fm, fm))
+        pyr = (fm, fm)
         hyper = extract_hypercolumn(pyr, (12, 12))
         expect = fm.values / np.sqrt(2)
         assert np.allclose(hyper.values[:, :, :6], expect, atol=1e-6)
@@ -124,7 +193,7 @@ class TestHypercolumn:
 
     def test_single_level_identity(self):
         fm = self._unit_field(31, 10, 14, 5)
-        hyper = extract_hypercolumn(FeaturePyramid((fm,)), (10, 14))
+        hyper = extract_hypercolumn((fm,), (10, 14))
         assert np.allclose(hyper.values, fm.values, atol=1e-6)
 
     def test_norms_and_spot_pixel_recompute(self):
@@ -137,7 +206,7 @@ class TestHypercolumn:
         # independent recompute of one pixel through the stated pipeline
         ty, tx = 123, 321
         parts = []
-        for fm in pyr.levels:
+        for fm in pyr:
             h, w = fm.height, fm.width
             sy = np.clip((ty + 0.5) * h / 480 - 0.5, 0, h - 1)
             sx = np.clip((tx + 0.5) * w / 480 - 0.5, 0, w - 1)
@@ -151,13 +220,13 @@ class TestHypercolumn:
     def test_target_below_coarsest_rejected(self):
         fm = self._unit_field(33, 15, 15, 4)
         with pytest.raises(ValueError):
-            extract_hypercolumn(FeaturePyramid((fm,)), (8, 8))
+            extract_hypercolumn((fm,), (8, 8))
 
 
 class TestGlobalDescriptor:
     def test_constant_coarsest_returns_renormalized_vector(self):
         v = np.tile(np.array([0.6, 0.8, 0.0], dtype=np.float32), (15, 15, 1))
-        pyr = FeaturePyramid((FeatureMap(v),))
+        pyr = (FeatureMap(v),)
         g = compute_global_descriptor(pyr)
         assert np.allclose(g.values, [0.6, 0.8, 0.0], atol=1e-6)
 
@@ -172,7 +241,7 @@ class TestGlobalDescriptor:
         rng = np.random.default_rng(35)
         pyr = build_pyramid(Image(rng.random((64, 48))))
         g = compute_global_descriptor(pyr)
-        v = pyr.coarsest.values.astype(np.float64)
+        v = pyr[0].values.astype(np.float64)
         pooled = np.zeros(v.shape[2])
         for c in range(v.shape[2]):
             acc = 0.0
@@ -185,5 +254,5 @@ class TestGlobalDescriptor:
 
     def test_zero_features_fallback(self):
         z = FeatureMap(np.zeros((15, 15, 4), dtype=np.float32))
-        g = compute_global_descriptor(FeaturePyramid((z,)))
+        g = compute_global_descriptor((z,))
         assert np.allclose(g.values, 0.5)

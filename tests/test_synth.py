@@ -63,6 +63,45 @@ class TestRandomWarp:
         assert np.array_equal(warp_points(spec, pts), warp_points(back, pts))
 
 
+class TestWarpSpecMatrix:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_affine_2x3_and_its_lift_agree(self, seed):
+        m = np.asarray(random_warp("affine", 0.5, seed=seed).params["matrix"])[:2]
+        short = WarpSpec("affine", {"matrix": m}, seed=0, magnitude=0.5)
+        lifted = WarpSpec("affine", {"matrix": np.vstack([m, [0.0, 0.0, 1.0]])},
+                          seed=0, magnitude=0.5)
+        assert np.array_equal(short.params["matrix"], lifted.params["matrix"])
+        pts = grid_points(240, 240, step=5) + 0.25
+        assert np.array_equal(warp_points(short, pts), warp_points(lifted, pts))
+        assert np.array_equal(warp_jacobian(short, pts), warp_jacobian(lifted, pts))
+        for a, b in zip(inverse_warp_points(short, pts), inverse_warp_points(lifted, pts)):
+            assert np.array_equal(a, b)
+        img = make_texture(240, 240, seed=seed)
+        out_short, out_lifted = apply_warp(img, short), apply_warp(img, lifted)
+        assert np.array_equal(out_short[0].pixels, out_lifted[0].pixels)
+        for a, b in zip(out_short[1:], out_lifted[1:]):
+            assert np.array_equal(a.coords, b.coords) and np.array_equal(a.valid, b.valid)
+
+    def test_caller_params_not_modified(self):
+        params = {"matrix": np.eye(3)[:2]}
+        WarpSpec("affine", params, seed=0, magnitude=0.0)
+        assert params["matrix"].shape == (2, 3)
+
+    @pytest.mark.parametrize("kind, shape", [("homography", (2, 3)), ("homography", (3, 4)),
+                                             ("affine", (3, 4)), ("affine", (2, 2))])
+    def test_wrong_matrix_shape_rejected(self, kind, shape):
+        with pytest.raises(ValueError, match="matrix"):
+            WarpSpec(kind, {"matrix": np.ones(shape)}, seed=0, magnitude=0.1)
+
+    @pytest.mark.parametrize("kind", ["affine", "homography"])
+    def test_dict_round_trip_keeps_3x3(self, kind):
+        spec = random_warp(kind, 0.4, seed=7)
+        d = spec.to_dict()
+        assert np.asarray(d["params"]["matrix"]).shape == (3, 3)
+        back = WarpSpec.from_dict(d)
+        assert np.array_equal(back.params["matrix"], spec.params["matrix"])
+
+
 class TestWarpJacobian:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["tps", "homography"])
@@ -133,7 +172,8 @@ class TestApplyWarp:
         # closed forms x -> A x + t and x -> A^-1 (x - t) are the oracle
         spec = random_warp("affine", 0.4, seed=seed)
         m = np.asarray(spec.params["matrix"])
-        a, t = m[:, :2], m[:, 2]
+        assert m[2].tolist() == [0.0, 0.0, 1.0]
+        a, t = m[:2, :2], m[:2, 2]
         pts = grid_points(240, 240, step=1)
         assert np.allclose(warp_points(spec, pts), pts @ a.T + t, rtol=0, atol=1e-9)
         back, ok = inverse_warp_points(spec, pts)
@@ -251,7 +291,7 @@ class TestGenBenchmark:
         sources = [make_texture(240, 240, seed=s) for s in range(3)]
         m = gen_benchmark(sources, tmp_path / "b", 1, 2, 2, seed=5)
         back = BenchmarkManifest.load(tmp_path / "b" / "manifest.json")
-        assert back.to_dict() == m.to_dict()
+        assert back == m
 
     def test_insufficient_sources_error(self, tmp_path):
         sources = [make_texture(240, 240, seed=0)]
