@@ -237,13 +237,17 @@ def bilinear_sample_grid(values, xs, ys):
     fx = cx - x0
     fy = cy - y0
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     if values.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
-    # the float64 weights promote only the gathered corners, never the grid
-    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
-    bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
+    # corners are gathered with np.take from the (H*W, ...) rows, which is
+    # faster than 2-D fancy indexing; the float64 weights promote only the
+    # gathered corners, never the grid
+    flat = values.reshape((h * w,) + values.shape[2:])
+    top = flat.take(row0 + x0, axis=0) * (1.0 - fx) + flat.take(row0 + x1, axis=0) * fx
+    bot = flat.take(row1 + x0, axis=0) * (1.0 - fx) + flat.take(row1 + x1, axis=0) * fx
     out = top * (1.0 - fy) + bot * fy
     out[~ok] = 0.0
     return out, ok

@@ -66,6 +66,18 @@ class WarpSpec:
                 raise ValueError(f"{self.kind} matrix must be 3x3, got {m.shape}")
             object.__setattr__(self, "params", {**self.params, "matrix": m})
 
+    def __eq__(self, other) -> bool:
+        """Equal iff the to_dict() outputs are equal (params hold arrays,
+        which the generated field-by-field comparison cannot compare)."""
+        if not isinstance(other, WarpSpec):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __hash__(self) -> int:
+        # params are left out: equal specs still hash equal
+        d = self.to_dict()
+        return hash((d["kind"], d["seed"], d["magnitude"], d["frame_h"], d["frame_w"]))
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -424,6 +424,13 @@ def score_g(g_query: GlobalDescriptor, g_db: GlobalDescriptor) -> float:
     return float(np.linalg.norm(g_query.values - g_db.values))
 
 
+# S_L walks the masked pixels in blocks whose (block, channels) float64
+# planes hold at most this many bytes, so its working set is bounded by the
+# block whatever |C| and the channel count (a 480^2 planar pair has ~215k
+# masked pixels of 50 channels: 86 MB per plane if gathered at once).
+S_L_BLOCK_BYTES = 400 << 10
+
+
 def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
               mask: Mask) -> float:
     """Masked cosine-similarity sum between warped and target hypercolumns.
@@ -431,6 +438,11 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     o_ab and mask live on hyper_b's grid with coordinates scaled to
     hyper_a's frame; sampled descriptors are renormalized after
     interpolation.  Pixels whose sample is invalid contribute 0.
+
+    The masked pixels are visited in row-major order, in blocks whose
+    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  Each
+    pixel's dot is stored, and the stored dots are summed once, in pixel
+    order, so the result does not depend on the block size.
     """
     if (o_ab.height, o_ab.width) != (hyper_b.height, hyper_b.width):
         raise ValueError("correspondence map grid must match hyper_b")
@@ -438,19 +450,24 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
         raise ValueError("mask grid must match hyper_b")
     if hyper_a.channels != hyper_b.channels:
         raise ValueError("hypercolumn channel counts differ")
-    sel = mask.bits & o_ab.valid
-    if not sel.any():
-        return 0.0
-    ys, xs = np.nonzero(sel)
-    coords = o_ab.coords[ys, xs]
-    sampled, ok = bilinear_sample_grid(hyper_a.values, coords[:, 0], coords[:, 1])
-    if not ok.any():
-        return 0.0
-    norms = np.linalg.norm(sampled, axis=1)
-    good = ok & (norms > 1e-12)
-    target = hyper_b.values[ys[good], xs[good]].astype(np.float64)
-    dots = np.einsum("nc,nc->n", sampled[good] / norms[good, None], target)
-    return float(dots.sum())
+    pixels = np.flatnonzero(mask.bits & o_ab.valid)
+    h, w, c = hyper_b.values.shape
+    coords = o_ab.coords.reshape(h * w, 2)
+    target = hyper_b.values.reshape(h * w, c)
+    step = max(1, S_L_BLOCK_BYTES // (8 * max(c, 1)))
+    dots = np.empty(len(pixels))
+    n = 0
+    for i in range(0, len(pixels), step):
+        block = pixels[i:i + step]
+        xy = coords[block]
+        sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
+        norms = np.linalg.norm(sampled, axis=1)
+        good = ok & (norms > 1e-12)
+        k = np.count_nonzero(good)
+        dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
+                                  target.take(block[good], axis=0).astype(np.float64))
+        n += k
+    return float(dots[:n].sum())
 
 
 def score_s_f(s_l: float, s: float, g: float):

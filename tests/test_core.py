@@ -385,6 +385,69 @@ class TestSharedSamplingKernels:
         assert got.tobytes() == want.tobytes()
 
 
+def fancy_index_gather(values, xs, ys):
+    """bilinear_sample_grid with its corners read by 2-D fancy indexing."""
+    values = np.asarray(values)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    h, w = values.shape[:2]
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(xs) & np.isfinite(ys) \
+            & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    cx = np.where(ok, xs, 0.0)
+    cy = np.where(ok, ys, 0.0)
+    x0 = np.minimum(np.floor(cx).astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(np.floor(cy).astype(np.int64), max(h - 2, 0))
+    fx = cx - x0
+    fy = cy - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    if values.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
+    bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
+    out = top * (1.0 - fy) + bot * fy
+    out[~ok] = 0.0
+    return out, ok
+
+
+class TestFlatGather:
+    """The np.take gather against the 2-D fancy-index form, bitwise."""
+
+    @staticmethod
+    def positions(rng, h, w, shape):
+        xs = rng.uniform(-1.5, w + 0.5, shape)
+        ys = rng.uniform(-1.5, h + 0.5, shape)
+        flat_x, flat_y = xs.reshape(-1), ys.reshape(-1)
+        # grid corners and edges, then non-finite positions
+        flat_x[:6] = [0.0, w - 1.0, w - 1.0, 0.0, (w - 1) / 2, w - 1.0]
+        flat_y[:6] = [0.0, h - 1.0, 0.0, h - 1.0, h - 1.0, (h - 1) / 2]
+        flat_x[6:10] = [np.nan, np.inf, -np.inf, 1.0]
+        flat_y[6:10] = [1.0, 0.0, 0.0, np.nan]
+        return xs, ys
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((17, 23), np.float64),
+        ((17, 23, 3), np.float64),
+        ((480, 480, 50), np.float32),
+        ((19, 1), np.float64),
+        ((1, 19, 3), np.float64),
+        ((1, 1, 2), np.float32),
+    ])
+    def test_matches_fancy_index_gather(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape).astype(dtype)
+        h, w = shape[:2]
+        for pos_shape in [(2000,), (40, 30)]:
+            xs, ys = self.positions(rng, h, w, pos_shape)
+            got, ok = bilinear_sample_grid(values, xs, ys)
+            want, want_ok = fancy_index_gather(values, xs, ys)
+            assert np.array_equal(ok, want_ok) and ok.any() and not ok.all()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def sample_map_oracle(cmap, xs, ys):
     """sample_map with coordinates and validity gathered one at a time."""
     coords, ok = bilinear_sample_grid(cmap.coords, xs, ys)

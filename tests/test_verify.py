@@ -279,6 +279,99 @@ class TestScoreSL:
         s12 = score_s_l(f, g, ident, Mask(m1 | m2))
         assert s12 == pytest.approx(s1 + s2, abs=1e-9)
 
+    def test_zero_channels_zero(self):
+        f = FeatureMap(np.zeros((8, 8, 0), np.float32))
+        assert score_s_l(f, f, identity_map(8, 8), Mask(np.ones((8, 8), bool))) == 0.0
+
+    # block boundaries: B is the block size in pixels at 50 channels
+    CHANNELS = 50
+    B = verify.S_L_BLOCK_BYTES // (8 * CHANNELS)
+
+    def block_fixture(self):
+        """Fields on a (3B+7)-pixel grid whose map sends masked pixel 5 out
+        of bounds and pixel 2B+3 to a zero-descriptor region of hyper_a."""
+        n = 3 * self.B + 7
+        w = 64
+        h = -(-n // w)
+        fa = unit_field(41, h, w, self.CHANNELS).values.copy()
+        fa[:3, :3] = 0.0
+        fb = unit_field(42, h, w, self.CHANNELS)
+        rng = np.random.default_rng(43)
+        coords = np.stack([rng.uniform(3, w - 1, (h, w)), rng.uniform(3, h - 1, (h, w))], axis=2)
+        flat = coords.reshape(-1, 2)
+        flat[5] = [w + 2.5, 1.0]
+        flat[2 * self.B + 3] = [0.5, 1.25]
+        cmap = CorrespondenceMap(coords, np.ones((h, w), bool))
+        sampled, ok = verify.bilinear_sample_grid(fa, flat[:, 0], flat[:, 1])
+        assert not ok[5] and ok[2 * self.B + 3] and not sampled[2 * self.B + 3].any()
+        return FeatureMap(fa, unit_normalized=True), fb, cmap
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_bitwise_equal_unchunked(self, blocks, extra):
+        n = blocks * self.B + extra
+        fa, fb, cmap = self.block_fixture()
+        bits = np.zeros(fb.height * fb.width, bool)
+        bits[:n] = True
+        mask = Mask(bits.reshape(fb.height, fb.width))
+        got = score_s_l(fa, fb, cmap, mask)
+        assert got == unchunked_s_l(fa, fb, cmap, mask)
+        if n == 3 * self.B + 7:
+            assert got == pytest.approx(bruteforce_s_l(fa, fb, cmap, mask), abs=1e-6)
+
+    def test_no_ok_sample_is_zero(self):
+        fa, fb, cmap = self.block_fixture()
+        outside = CorrespondenceMap(cmap.coords + [[[fa.width + 1.0, 0.0]]], cmap.valid)
+        mask = Mask(np.ones((fb.height, fb.width), bool))
+        assert score_s_l(fa, fb, outside, mask) == 0.0
+        assert unchunked_s_l(fa, fb, outside, mask) == 0.0
+
+    def test_memory_bounded(self):
+        # 480^2 x 50 fields, near-identity map: ~229k masked pixels, which an
+        # unchunked gather promotes to ~350 MiB of float64 planes
+        fa = unit_field(44, 480, 480, 50)
+        fb = unit_field(45, 480, 480, 50)
+        gx, gy = np.meshgrid(np.arange(480.0), np.arange(480.0))
+        cmap = CorrespondenceMap.from_coords(np.stack([gx + 0.3, gy - 0.4], axis=2), (480, 480))
+        mask = Mask(cmap.valid)
+        assert mask.count() >= 200_000
+        tracemalloc.start()
+        try:
+            got = score_s_l(fa, fb, cmap, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert abs(got) < mask.count()
+
+
+def unchunked_s_l(hyper_a, hyper_b, o_ab, mask):
+    """score_s_l gathering every masked pixel at once."""
+    sel = mask.bits & o_ab.valid
+    if not sel.any():
+        return 0.0
+    ys, xs = np.nonzero(sel)
+    coords = o_ab.coords[ys, xs]
+    sampled, ok = verify.bilinear_sample_grid(hyper_a.values, coords[:, 0], coords[:, 1])
+    if not ok.any():
+        return 0.0
+    norms = np.linalg.norm(sampled, axis=1)
+    good = ok & (norms > 1e-12)
+    target = hyper_b.values[ys[good], xs[good]].astype(np.float64)
+    dots = np.einsum("nc,nc->n", sampled[good] / norms[good, None], target)
+    return float(dots.sum())
+
+
+def bruteforce_s_l(hyper_a, hyper_b, o_ab, mask):
+    """S_L with one pixel at a time, skipping out-of-bounds and zero samples."""
+    total = 0.0
+    for y, x in zip(*np.nonzero(mask.bits & o_ab.valid)):
+        v, ok = verify.bilinear_sample_grid(hyper_a.values, o_ab.coords[y, x, :1],
+                                            o_ab.coords[y, x, 1:])
+        n = np.linalg.norm(v[0])
+        if ok[0] and n > 1e-12:
+            total += float(np.dot(v[0] / n, hyper_b.values[y, x].astype(np.float64)))
+    return total
+
 
 class TestVariants:
     def setup_method(self):
