@@ -99,7 +99,8 @@ class CorrespondenceMap:
 
     ``coords[y, x]`` holds the absolute (x_src, y_src) coordinate matched to
     grid pixel (x, y); ``valid`` is False where no in-bounds correspondence
-    exists.  Coordinates at invalid pixels are not meaningful.
+    exists.  Coordinates at invalid pixels are stored as 0, whatever was
+    passed, so no sample ever weights a non-finite value.
     """
 
     coords: np.ndarray  # (H, W, 2) float64, channel order (x, y)
@@ -112,7 +113,8 @@ class CorrespondenceMap:
             raise ValueError(f"coords must be (H, W, 2), got {c.shape}")
         if v.shape != c.shape[:2]:
             raise ValueError("valid mask shape does not match coords grid")
-        if not np.isfinite(c[v]).all():
+        c[~v] = 0.0
+        if not np.isfinite(c).all():
             raise ValueError("coords must be finite wherever valid")
         c.flags.writeable = False
         v.flags.writeable = False
@@ -131,9 +133,7 @@ class CorrespondenceMap:
     def from_coords(cls, coords, source_hw) -> "CorrespondenceMap":
         """Build a map marking valid exactly the in-bounds coordinates."""
         coords = np.asarray(coords, dtype=np.float64)
-        valid = _in_bounds(coords[..., 0], coords[..., 1], *source_hw)
-        safe = np.where(valid[..., None], coords, 0.0)
-        return cls(safe, valid)
+        return cls(coords, _in_bounds(coords[..., 0], coords[..., 1], *source_hw))
 
 
 @dataclass(frozen=True)
@@ -462,9 +462,7 @@ def read_cmap(path) -> CorrespondenceMap:
     coords = np.frombuffer(buf, dtype="<f4", count=2 * n, offset=pos)
     coords = coords.astype(np.float64).reshape(h, w, 2)
     flags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos + 8 * n)
-    valid = flags.reshape(h, w) != 0
-    coords[~valid] = 0.0
-    return CorrespondenceMap(coords, valid)
+    return CorrespondenceMap(coords, flags.reshape(h, w) != 0)
 
 
 def write_fmap(fmap: FeatureMap, path) -> None:

@@ -262,8 +262,10 @@ class TestWriterBytes:
         rng = np.random.default_rng(42)
         coords = rng.random((4, 3, 2)) * 50
         valid = rng.random((4, 3)) < 0.7
-        write_cmap(CorrespondenceMap(coords, valid), tmp_path / "m.cmap")
-        expect = (b"CMAP" + struct.pack("<III", 1, 4, 3) + coords.astype("<f4").tobytes()
+        m = CorrespondenceMap(coords, valid)
+        write_cmap(m, tmp_path / "m.cmap")
+        # invalid pixels are stored (and written) as 0, not as given
+        expect = (b"CMAP" + struct.pack("<III", 1, 4, 3) + m.coords.astype("<f4").tobytes()
                   + valid.astype(np.uint8).tobytes())
         assert (tmp_path / "m.cmap").read_bytes() == expect
 

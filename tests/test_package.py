@@ -3,6 +3,7 @@ declared dependency and benchmark-traced layer must exist."""
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -27,6 +28,14 @@ def test_documented_modules_import():
     assert names
     for name in names:
         importlib.import_module(name)
+
+
+def test_package_root_reexports_nothing():
+    # callers import the submodules; a second name at the package root for a
+    # submodule's function or class is a second import path to keep in step
+    leaked = [name for name, value in vars(corrverify).items()
+              if inspect.isfunction(value) or inspect.isclass(value)]
+    assert leaked == []
 
 
 def test_script_entry_points_resolve():

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrverify import verify
-from corrverify.core import CorrespondenceMap, FeatureMap, GlobalDescriptor, Mask, identity_map
+from corrverify.core import (
+    CorrespondenceMap,
+    FeatureMap,
+    GlobalDescriptor,
+    Mask,
+    identity_map,
+    sample_map,
+)
 from corrverify.rng import Lcg64
 from corrverify.synth import (
     WarpSpec,
@@ -21,6 +28,7 @@ from corrverify.synth import (
     warp_points,
 )
 from corrverify.verify import (
+    MAX_ITERATIONS,
     DegenerateModelError,
     Homography,
     RansacConfig,
@@ -53,7 +61,7 @@ class TestDlt:
         rng = np.random.default_rng(0)
         true = np.array([[1.1, 0.02, 4.0], [-0.03, 0.95, -2.0], [1e-4, -2e-4, 1.0]])
         src = rng.uniform(0, 200, (8, 2))
-        dst = Homography(true).apply(src)
+        dst = project(true, src)
         h = fit_homography_dlt(src, dst)
         assert np.abs(h.matrix - true).max() < 1e-6
 
@@ -62,7 +70,7 @@ class TestDlt:
         # singular vector; an 8-point fit would not exercise that case
         true = np.array([[0.9, 0.1, 5.0], [-0.2, 1.2, -3.0], [2e-3, -1e-3, 1.0]])
         src = np.array([[0.0, 0], [100, 0], [100, 100], [0, 100]])
-        dst = Homography(true).apply(src)
+        dst = project(true, src)
         h = fit_homography_dlt(src, dst)
         assert np.abs(h.matrix - true).max() < 1e-9
 
@@ -74,7 +82,7 @@ class TestDlt:
         trues[:, :2, 2] += rng.uniform(-10, 10, (k, 2))
         trues[:, 2, :2] = rng.uniform(-1e-3, 1e-3, (k, 2))
         src = rng.uniform(0, 200, (k, 4, 2))
-        dst = np.stack([Homography(t).apply(s) for t, s in zip(trues, src)])
+        dst = np.stack([project(t, s) for t, s in zip(trues, src)])
         src[-1] = [[0.0, 0], [1, 1], [2, 2], [3, 3]]
         dst[-1] = [[0.0, 0], [10, 0], [10, 10], [0, 10]]
         out = _batch_dlt_4pt(src, dst)
@@ -429,6 +437,25 @@ class TestCyclicMask:
         expect = math.pi * eps * eps / (h * w)
         assert frac == pytest.approx(expect, abs=3 * math.sqrt(expect / (h * w)) + 2e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_at_invalid_pixel_is_inert(self, bad):
+        # a zero bilinear weight times nan or inf is nan: whatever sits at an
+        # invalid pixel must not reach a neighbour's sample
+        coords = identity_map(6, 6).coords.copy()
+        valid = np.ones((6, 6), dtype=bool)
+        valid[2, 3] = False
+        coords[2, 3] = bad
+        m = CorrespondenceMap(coords, valid)
+        coords[2, 3] = 0.0
+        ref = CorrespondenceMap(coords, valid)
+        xs, ys = np.meshgrid(np.arange(0, 5.01, 0.5), np.arange(0, 5.01, 0.5))
+        got, ok = sample_map(m, xs, ys)
+        want, want_ok = sample_map(ref, xs, ys)
+        assert np.array_equal(ok, want_ok) and np.array_equal(got, want)
+        assert ok[4, 4] and np.array_equal(got[4, 4], [2.0, 2.0])
+        assert np.array_equal(cyclic_mask(m, m).bits, cyclic_mask(ref, ref).bits)
+        assert cyclic_mask(m, m).count() == 35
+
 
 def gt_maps_for(kind, seed, magnitude=0.4):
     img = make_texture(240, 240, seed=seed)
@@ -453,8 +480,8 @@ class TestRansac:
         # the map points warped->source, so the model approximates W^-1
         hinv = np.linalg.inv(np.asarray(spec.params["matrix"]))
         corners = np.array([[0.0, 0], [239, 0], [239, 239], [0, 239]])
-        expect = Homography(hinv).apply(corners)
-        got = model.apply(corners)
+        expect = project(hinv, corners)
+        got = project(model.matrix, corners)
         assert np.linalg.norm(got - expect, axis=1).max() <= 0.5
 
     def test_uniform_random_map_rejected_or_chance(self):
@@ -508,6 +535,11 @@ class TestRansacConfig:
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             RansacConfig(**{field: value})
+
+    def test_iterations_capped(self):
+        assert RansacConfig(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
+        with pytest.raises(ValueError, match="iterations"):
+            RansacConfig(iterations=MAX_ITERATIONS + 1)
 
     def test_accepts_smallest_values(self):
         cfg = RansacConfig(iterations=1, min_inliers=0)
