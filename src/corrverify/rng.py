@@ -51,9 +51,10 @@ class Lcg64:
         return self.state
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection of the biased tail."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n) by rejection of the biased tail; n is at
+        most 2**32, the range of one draw."""
+        if not 0 < n <= 1 << 32:
+            raise ValueError("bound must lie in [1, 2**32]")
         lim = (1 << 32) - ((1 << 32) % n)
         while True:
             # top bits have the longest period

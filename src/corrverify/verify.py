@@ -10,11 +10,19 @@ scores used for re-ranking:
   hypercolumn descriptors;
 * ``G`` the Euclidean distance between global descriptors;
 * ``S_F = log10(S_L * S) * 10**(-G)``.
+
+On a machine where this process may use two or more CPUs, score_pair_s
+verifies its two directions concurrently and score_s_l splits its pixel
+blocks into two halves, each on a thread that lives for one call.  Neither
+changes a result: the directions share no state, and the S_L halves are
+joined in pixel order before the one sum.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -425,6 +433,40 @@ def score_g(g_query: GlobalDescriptor, g_db: GlobalDescriptor) -> float:
     return float(np.linalg.norm(g_query.values - g_db.values))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _both(on_worker, on_caller):
+    """(on_worker(), on_caller()), run at once: the first thunk on a thread
+    started for this call, the second on the calling thread.  The thread is
+    joined before returning and its exception re-raised.  With fewer than two
+    usable CPUs both run serially on the calling thread."""
+    if _usable_cpus() < 2:
+        return on_worker(), on_caller()
+    out = []
+
+    def run():
+        try:
+            out.append((True, on_worker()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = on_caller()
+    finally:
+        thread.join()
+    ok, theirs = out[0]
+    if not ok:
+        raise theirs
+    return theirs, mine
+
+
 # S_L walks the masked pixels in blocks whose (block, channels) float64
 # planes hold at most this many bytes, so its working set is bounded by the
 # block whatever |C| and the channel count (a 480^2 planar pair has ~215k
@@ -441,9 +483,11 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     interpolation.  Pixels whose sample is invalid contribute 0.
 
     The masked pixels are visited in row-major order, in blocks whose
-    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  Each
-    pixel's dot is stored, and the stored dots are summed once, in pixel
-    order, so the result does not depend on the block size.
+    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  With two
+    or more blocks, the blocks are split at a block boundary into two halves
+    that run concurrently (see _both).  Each pixel's dot is stored, and the
+    stored dots are joined in pixel order and summed once, so the result
+    depends neither on the block size nor on the split.
     """
     if (o_ab.height, o_ab.width) != (hyper_b.height, hyper_b.width):
         raise ValueError("correspondence map grid must match hyper_b")
@@ -456,19 +500,29 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     coords = o_ab.coords.reshape(h * w, 2)
     target = hyper_b.values.reshape(h * w, c)
     step = max(1, S_L_BLOCK_BYTES // (8 * max(c, 1)))
-    dots = np.empty(len(pixels))
-    n = 0
-    for i in range(0, len(pixels), step):
-        block = pixels[i:i + step]
-        xy = coords[block]
-        sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
-        norms = np.linalg.norm(sampled, axis=1)
-        good = ok & (norms > 1e-12)
-        k = np.count_nonzero(good)
-        dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
-                                  target.take(block[good], axis=0).astype(np.float64))
-        n += k
-    return float(dots[:n].sum())
+
+    def good_dots(part):
+        """Dots of part's pixels whose sample is valid, in pixel order."""
+        dots = np.empty(len(part))
+        n = 0
+        for i in range(0, len(part), step):
+            block = part[i:i + step]
+            xy = coords[block]
+            sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
+            norms = np.linalg.norm(sampled, axis=1)
+            good = ok & (norms > 1e-12)
+            k = np.count_nonzero(good)
+            dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
+                                      target.take(block[good], axis=0).astype(np.float64))
+            n += k
+        return dots[:n]
+
+    if len(pixels) <= step:
+        return float(good_dots(pixels).sum())
+    blocks = -(-len(pixels) // step)
+    mid = blocks // 2 * step
+    head, tail = _both(lambda: good_dots(pixels[:mid]), lambda: good_dots(pixels[mid:]))
+    return float(np.concatenate([head, tail]).sum())
 
 
 def score_s_f(s_l: float, s: float, g: float):
@@ -503,11 +557,13 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Returns (S, result_AB, result_BA).  Each direction owns an independent
     LCG seeded with the same configured value, which keeps the score exactly
-    symmetric under swapping the input pair.
+    symmetric under swapping the input pair.  The two directions share no
+    state, so they run concurrently (see _both), B -> A on a worker thread
+    and A -> B on the calling thread, with the results of a serial run.
     """
     beta = beta_for_working_size(o_ab.height, o_ab.width)
-    r_ab = verify_direction(o_ab, o_ba, ransac)
-    r_ba = verify_direction(o_ba, o_ab, ransac)
+    r_ba, r_ab = _both(lambda: verify_direction(o_ba, o_ab, ransac),
+                       lambda: verify_direction(o_ab, o_ba, ransac))
     s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, beta)
     s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, beta)
     return max(s_ab, s_ba), r_ab, r_ba

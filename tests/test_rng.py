@@ -1,6 +1,7 @@
 """Bit-portable LCG sampling used for RANSAC hypothesis draws."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -34,3 +35,30 @@ class TestLcg64:
             rng.below(0)
         with pytest.raises(ValueError):
             rng.sample_distinct(3, 4)
+
+    def test_bound_above_draw_range_rejected(self):
+        # lim = 2**32 - 2**32 % n is 0 for n > 2**32, so a rejection loop
+        # without the check would never return; run it where a hang shows
+        errors = []
+
+        def draw():
+            rng = Lcg64(0)
+            for call in (lambda: rng.below((1 << 32) + 5),
+                         lambda: rng.sample_distinct((1 << 32) + 5, 4)):
+                try:
+                    call()
+                except ValueError as exc:
+                    errors.append(exc)
+
+        t = threading.Thread(target=draw, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert len(errors) == 2
+
+    def test_full_draw_range_accepted(self):
+        # n = 2**32 rejects nothing: each draw is the top half of the state
+        rng, raw = Lcg64(3), Lcg64(3)
+        for _ in range(100):
+            assert rng.below(1 << 32) == raw._step() >> 32
+        assert len(set(rng.sample_distinct(1 << 32, 4))) == 4

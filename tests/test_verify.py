@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +234,21 @@ def unit_field(seed, h, w, c):
     return FeatureMap(v.astype(np.float32), unit_normalized=True)
 
 
+def use_cpus(monkeypatch, n):
+    """Make verify see n usable CPUs and count the threads it starts."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(verify, "threading", SimpleNamespace(Thread=Thread))
+    return started
+
+
 class TestScoreSL:
     def test_self_similarity_counts_mask(self):
         f = unit_field(2, 8, 8, 6)
@@ -326,6 +344,21 @@ class TestScoreSL:
         if n == 3 * self.B + 7:
             assert got == pytest.approx(bruteforce_s_l(fa, fb, cmap, mask), abs=1e-6)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 7)])
+    def test_split_bitwise_equal_unchunked(self, monkeypatch, cpus, blocks, extra):
+        n = blocks * self.B + extra
+        fa, fb, cmap = self.block_fixture()
+        bits = np.zeros(fb.height * fb.width, bool)
+        bits[:n] = True
+        mask = Mask(bits.reshape(fb.height, fb.width))
+        started = use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        assert score_s_l(fa, fb, cmap, mask) == unchunked_s_l(fa, fb, cmap, mask)
+        assert threading.active_count() == before
+        # the blocks split into two halves only with two CPUs and two blocks
+        assert len(started) == (cpus == 2 and n > self.B)
+
     def test_no_ok_sample_is_zero(self):
         fa, fb, cmap = self.block_fixture()
         outside = CorrespondenceMap(cmap.coords + [[[fa.width + 1.0, 0.0]]], cmap.valid)
@@ -333,9 +366,11 @@ class TestScoreSL:
         assert score_s_l(fa, fb, outside, mask) == 0.0
         assert unchunked_s_l(fa, fb, outside, mask) == 0.0
 
-    def test_memory_bounded(self):
+    def test_memory_bounded(self, monkeypatch):
         # 480^2 x 50 fields, near-identity map: ~229k masked pixels, which an
-        # unchunked gather promotes to ~350 MiB of float64 planes
+        # unchunked gather promotes to ~350 MiB of float64 planes; tracemalloc
+        # counts the allocations of both halves' threads
+        started = use_cpus(monkeypatch, 2)
         fa = unit_field(44, 480, 480, 50)
         fb = unit_field(45, 480, 480, 50)
         gx, gy = np.meshgrid(np.arange(480.0), np.arange(480.0))
@@ -350,6 +385,7 @@ class TestScoreSL:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert abs(got) < mask.count()
+        assert len(started) == 1
 
 
 def unchunked_s_l(hyper_a, hyper_b, o_ab, mask):
@@ -684,3 +720,95 @@ class TestVerifyDirection:
         src = np.array([[1.0, 2], [30, 40]])
         err = symmetric_transfer_error(h, src, src + [3.0, 4.0])
         assert np.allclose(err, 5.0)
+
+
+def assert_same_direction(a, b):
+    assert (a.homography is None) == (b.homography is None)
+    if a.homography is not None:
+        assert a.homography.matrix.tobytes() == b.homography.matrix.tobytes()
+    assert np.array_equal(a.inlier_mask.bits, b.inlier_mask.bits)
+    assert np.array_equal(a.consistent_mask.bits, b.consistent_mask.bits)
+
+
+class TestConcurrentDirections:
+    """score_pair_s runs its directions on two threads; results must be those
+    of two serial verify_direction calls, bit for bit."""
+
+    CFG = RansacConfig(iterations=200, seed=5)
+
+    def serial(self, fwd, bwd):
+        r_ab = verify_direction(fwd, bwd, self.CFG)
+        r_ba = verify_direction(bwd, fwd, self.CFG)
+        beta = verify.beta_for_working_size(fwd.height, fwd.width)
+        s = max(score_s(r.num_inliers, r.num_consistent, beta) for r in (r_ab, r_ba))
+        return s, r_ab, r_ba
+
+    def assert_same(self, got, want):
+        assert got[0] == want[0]
+        assert_same_direction(got[1], want[1])
+        assert_same_direction(got[2], want[2])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind, seed", [("affine", 61), ("tps", 62)])
+    def test_equals_serial_directions(self, monkeypatch, cpus, kind, seed):
+        fwd, bwd = noisy_pair(kind, seed, 0.4, size=96)
+        want = self.serial(fwd, bwd)
+        assert want[0] > 0
+        assert want[1].num_inliers != want[2].num_inliers
+        started = use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        self.assert_same(score_pair_s(fwd, bwd, self.CFG), want)
+        assert threading.active_count() == before
+        assert len(started) == (cpus == 2)
+
+    def test_no_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        fwd, bwd = noisy_pair("tps", 63, 0.4)
+        want = self.serial(fwd, bwd)
+        started = use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        self.assert_same(score_pair_s(fwd, bwd, self.CFG), want)
+        assert started == []
+
+    def test_callers_on_four_threads_agree(self, monkeypatch):
+        fwd, bwd = noisy_pair("tps", 64, 0.4, size=96)
+        want = self.serial(fwd, bwd)
+        use_cpus(monkeypatch, 2)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = score_pair_s(fwd, bwd, self.CFG)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for g in got:
+            self.assert_same(g, want)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_direction_error_reaches_caller(self, monkeypatch, failing):
+        fwd, bwd = noisy_pair("affine", 65, 0.4)
+        real = verify.ransac_homography
+        # the worker thread verifies o_ba = bwd, the caller o_ab = fwd
+        bad = bwd if failing == "worker" else fwd
+
+        def ransac(cmap, config):
+            if cmap is bad:
+                raise RuntimeError("direction failed")
+            return real(cmap, config)
+
+        started = use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(verify, "ransac_homography", ransac)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="direction failed"):
+            score_pair_s(fwd, bwd, self.CFG)
+        assert threading.active_count() == before
+        assert len(started) == 1 and not started[0].is_alive()
