@@ -332,13 +332,18 @@ class TestScoreSL:
         assert not ok[5] and ok[2 * self.B + 3] and not sampled[2 * self.B + 3].any()
         return FeatureMap(fa, unit_normalized=True), fb, cmap
 
+    @staticmethod
+    def first_pixels(fmap, n):
+        """Mask of the first n pixels of fmap's grid in row-major order."""
+        bits = np.zeros(fmap.height * fmap.width, bool)
+        bits[:n] = True
+        return Mask(bits.reshape(fmap.height, fmap.width))
+
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_blocks_bitwise_equal_unchunked(self, blocks, extra):
         n = blocks * self.B + extra
         fa, fb, cmap = self.block_fixture()
-        bits = np.zeros(fb.height * fb.width, bool)
-        bits[:n] = True
-        mask = Mask(bits.reshape(fb.height, fb.width))
+        mask = self.first_pixels(fb, n)
         got = score_s_l(fa, fb, cmap, mask)
         assert got == unchunked_s_l(fa, fb, cmap, mask)
         if n == 3 * self.B + 7:
@@ -349,9 +354,7 @@ class TestScoreSL:
     def test_split_bitwise_equal_unchunked(self, monkeypatch, cpus, blocks, extra):
         n = blocks * self.B + extra
         fa, fb, cmap = self.block_fixture()
-        bits = np.zeros(fb.height * fb.width, bool)
-        bits[:n] = True
-        mask = Mask(bits.reshape(fb.height, fb.width))
+        mask = self.first_pixels(fb, n)
         started = use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         assert score_s_l(fa, fb, cmap, mask) == unchunked_s_l(fa, fb, cmap, mask)
