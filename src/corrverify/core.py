@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,48 @@ class ParseError(ValueError):
 
 class InvalidSampleError(ValueError):
     """Requested sample coordinate falls outside the grid."""
+
+
+# ---------------------------------------------------------------------------
+# two-way concurrency
+# ---------------------------------------------------------------------------
+
+def _both(on_worker, on_caller):
+    """(on_worker(), on_caller()), run at once: the first thunk on a thread
+    started for this call, the second on the calling thread.  The thread is
+    joined before returning and its exception re-raised.
+
+    The package's kernels split their work with it.  The thunks call array
+    helpers only (sampling, resizing, fitting, counting): no file I/O, no
+    random draws and no public function of verify or pyramid.  Those run on
+    the calling thread alone, so their calls nest as in a serial run, which
+    a tracer that wraps them relies on.
+    """
+    out = []
+
+    def run():
+        try:
+            out.append((True, on_worker()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = on_caller()
+    finally:
+        thread.join()
+    ok, theirs = out[0]
+    if not ok:
+        raise theirs
+    return theirs, mine
+
+
+def _halves(part, n: int):
+    """(part(0, n // 2), part(n // 2, n)), run at once (see _both).  Callers
+    split work whose items are computed independently, so the joined halves
+    equal one serial pass bit for bit."""
+    return _both(lambda: part(0, n // 2), lambda: part(n // 2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +314,16 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
 
     Always returns a new array.
     """
-    v = np.ascontiguousarray(values)
+    return _resize_rows(np.ascontiguousarray(values), new_h, new_w, 0, new_h)
+
+
+def _resize_rows(v: np.ndarray, new_h: int, new_w: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of resize_grid(v, new_h, new_w) for a C-contiguous v; each
+    output pixel is computed as in the whole grid."""
     h, w = v.shape[:2]
     if (new_h, new_w) == (h, w):
-        return v.copy()
-    ys = half_pixel_axis(h, new_h)
+        return v[r0:r1].copy()
+    ys = half_pixel_axis(h, new_h)[r0:r1]
     xs = half_pixel_axis(w, new_w)
     y0 = np.minimum(np.floor(ys).astype(np.int64), max(h - 2, 0))
     x0 = np.minimum(np.floor(xs).astype(np.int64), max(w - 2, 0))
@@ -344,14 +392,21 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
     and the stored source coordinates by the half-pixel mapping.
 
     Pixels whose interpolation touches any invalid prior pixel are invalid.
+    The top and the bottom half of the new rows are resampled at once (see
+    _halves).
     """
     h, w = cmap.height, cmap.width
     if (new_h, new_w) == (h, w):
         return cmap
-    stacked = resize_grid(np.dstack([cmap.coords, cmap.valid]), new_h, new_w)
-    # source coordinates rescale with the same half-pixel convention
-    stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
-    return CorrespondenceMap(*_valid_samples(stacked))
+    grid = np.dstack([cmap.coords, cmap.valid])
+
+    def rows(r0, r1):
+        stacked = _resize_rows(grid, new_h, new_w, r0, r1)
+        # source coordinates rescale with the same half-pixel convention
+        stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
+        return stacked
+
+    return CorrespondenceMap(*_valid_samples(np.concatenate(_halves(rows, new_h))))
 
 
 # ---------------------------------------------------------------------------

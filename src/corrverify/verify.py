@@ -11,18 +11,15 @@ scores used for re-ranking:
 * ``G`` the Euclidean distance between global descriptors;
 * ``S_F = log10(S_L * S) * 10**(-G)``.
 
-On a machine where this process may use two or more CPUs, score_pair_s
-verifies its two directions concurrently and score_s_l splits its pixel
-blocks into two halves, each on a thread that lives for one call.  Neither
-changes a result: the directions share no state, and the S_L halves are
-joined in pixel order before the one sum.
+RANSAC fits and counts its hypotheses, and the cyclic check visits its
+rows, in two halves that run at once (``core._halves``).  Every hypothesis
+and every pixel is computed on its own and the halves are joined in order,
+so no result depends on the split.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +30,7 @@ from .core import (
     FeatureMap,
     GlobalDescriptor,
     Mask,
+    _halves,
     bilinear_sample_grid,
     sample_map,
 )
@@ -253,7 +251,8 @@ def _inlier_chunks(models: np.ndarray, src: np.ndarray, dst: np.ndarray, thresho
 def _count_inliers(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
                    threshold: float) -> np.ndarray:
     """(K,) symmetric-transfer inlier counts."""
-    return np.concatenate([m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)])
+    counts = [m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)]
+    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.intp)
 
 
 def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -327,21 +326,32 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     quads = np.empty((config.iterations, 4), dtype=np.int64)
     for i in range(config.iterations):
         quads[i] = rng.sample_distinct(n, 4)
-    src_quads = pts[quads]       # RANSAC model maps target grid -> source coords
-    dst_quads = coords[quads]
-    models = _batch_dlt_4pt(src_quads, dst_quads)
+    prescreen = n > 2 * PRESCREEN_TARGET
+    if prescreen:
+        probe_idx = np.arange(0, n, int(np.ceil(n / PRESCREEN_TARGET)))
+        probe_pts, probe_coords = pts[probe_idx], coords[probe_idx]
 
-    if n > 2 * PRESCREEN_TARGET:
-        step = int(np.ceil(n / PRESCREEN_TARGET))
-        probe_idx = np.arange(0, n, step)
-        probe_counts = _count_inliers(models, pts[probe_idx], coords[probe_idx],
-                                      config.inlier_threshold)
+    def fit(lo, hi):
+        """Hypotheses lo:hi and, with a prescreen, their probe counts."""
+        # RANSAC model maps target grid -> source coords
+        models = _batch_dlt_4pt(pts[quads[lo:hi]], coords[quads[lo:hi]])
+        if not prescreen:
+            return models, None
+        return models, _count_inliers(models, probe_pts, probe_coords, config.inlier_threshold)
+
+    # every hypothesis is fitted and counted on its own: the halves run at once
+    (models, probe_counts), (tail, tail_counts) = _halves(fit, len(quads))
+    models = np.concatenate([models, tail])
+    if prescreen:
+        probe_counts = np.concatenate([probe_counts, tail_counts])
         # stable sort keeps earlier iterations first among equal counts;
         # re-sorting the kept set preserves the ties-to-earliest rule below
         order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
         models = models[np.sort(order)]
 
-    counts = _count_inliers(models, pts, coords, config.inlier_threshold)
+    counts = np.concatenate(_halves(
+        lambda lo, hi: _count_inliers(models[lo:hi], pts, coords, config.inlier_threshold),
+        len(models)))
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
     if counts[best_j] < config.min_inliers:
         return None, empty
@@ -370,14 +380,18 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Pixel p is set iff o_ab[p] is valid, o_ba can be sampled at o_ab[p]
     (in bounds, all contributing pixels valid), and the composed coordinate
-    lies within epsilon of p.
+    lies within epsilon of p.  The top and the bottom half of the rows are
+    checked at once (see _halves).
     """
     h, w = o_ab.height, o_ab.width
-    back, ok = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])
-    gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dist = np.hypot(back[..., 0] - gx, back[..., 1] - gy)
-    bits = o_ab.valid & ok & (dist <= epsilon)
-    return Mask(bits)
+
+    def home(r0, r1):
+        """Rows r0:r1 whose composed coordinate returns within epsilon."""
+        back, ok = sample_map(o_ba, o_ab.coords[r0:r1, :, 0], o_ab.coords[r0:r1, :, 1])
+        gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(r0, r1, dtype=np.float64))
+        return ok & (np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= epsilon)
+
+    return Mask(o_ab.valid & np.concatenate(_halves(home, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,40 +447,6 @@ def score_g(g_query: GlobalDescriptor, g_db: GlobalDescriptor) -> float:
     return float(np.linalg.norm(g_query.values - g_db.values))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _both(on_worker, on_caller):
-    """(on_worker(), on_caller()), run at once: the first thunk on a thread
-    started for this call, the second on the calling thread.  The thread is
-    joined before returning and its exception re-raised.  With fewer than two
-    usable CPUs both run serially on the calling thread."""
-    if _usable_cpus() < 2:
-        return on_worker(), on_caller()
-    out = []
-
-    def run():
-        try:
-            out.append((True, on_worker()))
-        except BaseException as exc:
-            out.append((False, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        mine = on_caller()
-    finally:
-        thread.join()
-    ok, theirs = out[0]
-    if not ok:
-        raise theirs
-    return theirs, mine
-
-
 # S_L walks the masked pixels in blocks whose (block, channels) float64
 # planes hold at most this many bytes, so its working set is bounded by the
 # block whatever |C| and the channel count (a 480^2 planar pair has ~215k
@@ -483,11 +463,9 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     interpolation.  Pixels whose sample is invalid contribute 0.
 
     The masked pixels are visited in row-major order, in blocks whose
-    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  With two
-    or more blocks, the blocks are split at a block boundary into two halves
-    that run concurrently (see _both).  Each pixel's dot is stored, and the
-    stored dots are joined in pixel order and summed once, so the result
-    depends neither on the block size nor on the split.
+    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  Each
+    pixel's dot is stored, and the stored dots are summed once, in pixel
+    order, so the result does not depend on the block size.
     """
     if (o_ab.height, o_ab.width) != (hyper_b.height, hyper_b.width):
         raise ValueError("correspondence map grid must match hyper_b")
@@ -500,29 +478,19 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     coords = o_ab.coords.reshape(h * w, 2)
     target = hyper_b.values.reshape(h * w, c)
     step = max(1, S_L_BLOCK_BYTES // (8 * max(c, 1)))
-
-    def good_dots(part):
-        """Dots of part's pixels whose sample is valid, in pixel order."""
-        dots = np.empty(len(part))
-        n = 0
-        for i in range(0, len(part), step):
-            block = part[i:i + step]
-            xy = coords[block]
-            sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
-            norms = np.linalg.norm(sampled, axis=1)
-            good = ok & (norms > 1e-12)
-            k = np.count_nonzero(good)
-            dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
-                                      target.take(block[good], axis=0).astype(np.float64))
-            n += k
-        return dots[:n]
-
-    if len(pixels) <= step:
-        return float(good_dots(pixels).sum())
-    blocks = -(-len(pixels) // step)
-    mid = blocks // 2 * step
-    head, tail = _both(lambda: good_dots(pixels[:mid]), lambda: good_dots(pixels[mid:]))
-    return float(np.concatenate([head, tail]).sum())
+    dots = np.empty(len(pixels))
+    n = 0
+    for i in range(0, len(pixels), step):
+        block = pixels[i:i + step]
+        xy = coords[block]
+        sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
+        norms = np.linalg.norm(sampled, axis=1)
+        good = ok & (norms > 1e-12)
+        k = np.count_nonzero(good)
+        dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
+                                  target.take(block[good], axis=0).astype(np.float64))
+        n += k
+    return float(dots[:n].sum())
 
 
 def score_s_f(s_l: float, s: float, g: float):
@@ -557,13 +525,11 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Returns (S, result_AB, result_BA).  Each direction owns an independent
     LCG seeded with the same configured value, which keeps the score exactly
-    symmetric under swapping the input pair.  The two directions share no
-    state, so they run concurrently (see _both), B -> A on a worker thread
-    and A -> B on the calling thread, with the results of a serial run.
+    symmetric under swapping the input pair.
     """
     beta = beta_for_working_size(o_ab.height, o_ab.width)
-    r_ba, r_ab = _both(lambda: verify_direction(o_ba, o_ab, ransac),
-                       lambda: verify_direction(o_ab, o_ba, ransac))
+    r_ab = verify_direction(o_ab, o_ba, ransac)
+    r_ba = verify_direction(o_ba, o_ab, ransac)
     s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, beta)
     s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, beta)
     return max(s_ab, s_ba), r_ab, r_ba

@@ -501,6 +501,23 @@ class TestResampleMap:
         assert np.array_equal(got.valid, want_ok)
         assert np.abs(got.coords - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("new_h, new_w", [(1, 5), (2, 3), (7, 40), (61, 60), (480, 480)])
+    def test_halves_equal_one_pass(self, new_h, new_w):
+        # the new rows are resampled in two halves at once; both must equal
+        # one resize of the whole grid, bit for bit
+        rng = np.random.default_rng(new_h)
+        h, w = 30, 40
+        coords = np.stack([rng.uniform(0, w - 1, (h, w)), rng.uniform(0, h - 1, (h, w))], axis=2)
+        valid = rng.random((h, w)) > 0.1
+        cmap = CorrespondenceMap(coords, valid)
+        whole = resize_grid(np.dstack([cmap.coords, cmap.valid]), new_h, new_w)
+        want_ok = whole[..., 2] >= 1.0 - 1e-9
+        want = half_pixel(whole[..., :2], np.array([w, h]), np.array([new_w, new_h]))
+        want[~want_ok] = 0.0
+        got = resample_map(cmap, new_h, new_w)
+        assert np.array_equal(got.valid, want_ok)
+        assert got.coords.tobytes() == want.tobytes()
+
     def test_identity_size_returns_input(self):
         cmap = identity_map(7, 9)
         assert resample_map(cmap, 7, 9) is cmap

@@ -5,14 +5,14 @@ import math
 import sys
 import threading
 import tracemalloc
-from types import SimpleNamespace
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrverify import verify
+from corrverify import core, verify
 from corrverify.core import (
     CorrespondenceMap,
     FeatureMap,
@@ -234,21 +234,6 @@ def unit_field(seed, h, w, c):
     return FeatureMap(v.astype(np.float32), unit_normalized=True)
 
 
-def use_cpus(monkeypatch, n):
-    """Make verify see n usable CPUs and count the threads it starts."""
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(verify, "threading", SimpleNamespace(Thread=Thread))
-    return started
-
-
 class TestScoreSL:
     def test_self_similarity_counts_mask(self):
         f = unit_field(2, 8, 8, 6)
@@ -332,35 +317,17 @@ class TestScoreSL:
         assert not ok[5] and ok[2 * self.B + 3] and not sampled[2 * self.B + 3].any()
         return FeatureMap(fa, unit_normalized=True), fb, cmap
 
-    @staticmethod
-    def first_pixels(fmap, n):
-        """Mask of the first n pixels of fmap's grid in row-major order."""
-        bits = np.zeros(fmap.height * fmap.width, bool)
-        bits[:n] = True
-        return Mask(bits.reshape(fmap.height, fmap.width))
-
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_blocks_bitwise_equal_unchunked(self, blocks, extra):
         n = blocks * self.B + extra
         fa, fb, cmap = self.block_fixture()
-        mask = self.first_pixels(fb, n)
+        bits = np.zeros(fb.height * fb.width, bool)
+        bits[:n] = True
+        mask = Mask(bits.reshape(fb.height, fb.width))
         got = score_s_l(fa, fb, cmap, mask)
         assert got == unchunked_s_l(fa, fb, cmap, mask)
         if n == 3 * self.B + 7:
             assert got == pytest.approx(bruteforce_s_l(fa, fb, cmap, mask), abs=1e-6)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 7)])
-    def test_split_bitwise_equal_unchunked(self, monkeypatch, cpus, blocks, extra):
-        n = blocks * self.B + extra
-        fa, fb, cmap = self.block_fixture()
-        mask = self.first_pixels(fb, n)
-        started = use_cpus(monkeypatch, cpus)
-        before = threading.active_count()
-        assert score_s_l(fa, fb, cmap, mask) == unchunked_s_l(fa, fb, cmap, mask)
-        assert threading.active_count() == before
-        # the blocks split into two halves only with two CPUs and two blocks
-        assert len(started) == (cpus == 2 and n > self.B)
 
     def test_no_ok_sample_is_zero(self):
         fa, fb, cmap = self.block_fixture()
@@ -369,11 +336,9 @@ class TestScoreSL:
         assert score_s_l(fa, fb, outside, mask) == 0.0
         assert unchunked_s_l(fa, fb, outside, mask) == 0.0
 
-    def test_memory_bounded(self, monkeypatch):
+    def test_memory_bounded(self):
         # 480^2 x 50 fields, near-identity map: ~229k masked pixels, which an
-        # unchunked gather promotes to ~350 MiB of float64 planes; tracemalloc
-        # counts the allocations of both halves' threads
-        started = use_cpus(monkeypatch, 2)
+        # unchunked gather promotes to ~350 MiB of float64 planes
         fa = unit_field(44, 480, 480, 50)
         fb = unit_field(45, 480, 480, 50)
         gx, gy = np.meshgrid(np.arange(480.0), np.arange(480.0))
@@ -388,7 +353,6 @@ class TestScoreSL:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert abs(got) < mask.count()
-        assert len(started) == 1
 
 
 def unchunked_s_l(hyper_a, hyper_b, o_ab, mask):
@@ -725,62 +689,112 @@ class TestVerifyDirection:
         assert np.allclose(err, 5.0)
 
 
-def assert_same_direction(a, b):
-    assert (a.homography is None) == (b.homography is None)
-    if a.homography is not None:
-        assert a.homography.matrix.tobytes() == b.homography.matrix.tobytes()
-    assert np.array_equal(a.inlier_mask.bits, b.inlier_mask.bits)
-    assert np.array_equal(a.consistent_mask.bits, b.consistent_mask.bits)
+def count_threads(monkeypatch):
+    """Record every thread the package starts."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(core, "threading", types.SimpleNamespace(Thread=Thread))
+    return started
 
 
-class TestConcurrentDirections:
-    """score_pair_s runs its directions on two threads; results must be those
-    of two serial verify_direction calls, bit for bit."""
+def pair_digest(s, r_ab, r_ba):
+    """sha256 over S and both directions' models, inlier and consistent masks."""
+    h = hashlib.sha256(np.float64(s).tobytes())
+    for r in (r_ab, r_ba):
+        h.update(r.homography.matrix.tobytes() if r.homography is not None else b"none")
+        h.update(np.packbits(r.inlier_mask.bits).tobytes())
+        h.update(np.packbits(r.consistent_mask.bits).tobytes())
+    return h.hexdigest()
 
-    CFG = RansacConfig(iterations=200, seed=5)
 
-    def serial(self, fwd, bwd):
+class TestSplitKernels:
+    """DLT fitting, inlier counting and the cyclic check each run in two
+    halves at once; every result must be that of one serial pass, bit for bit."""
+
+    CFG = RansacConfig(iterations=300, seed=5)
+
+    # computed before the kernels were split; 128^2 maps take the prescreen path
+    @pytest.mark.parametrize("kind, seed, digest", [
+        ("affine", 61, "85fc3a452a6189250b7415ad7bb1928a6c42985f9f5c899d78658de7e80da8a3"),
+        ("tps", 62, "f0e9b7e45dbb98cdc23ad82354251ba64b8eb92c18785293b2207e9e732422ae"),
+    ])
+    def test_score_pair_s_pinned(self, monkeypatch, kind, seed, digest):
+        fwd, bwd = noisy_pair(kind, seed, 0.4, size=128)
+        started = count_threads(monkeypatch)
+        before = threading.active_count()
+        got = score_pair_s(fwd, bwd, self.CFG)
+        assert threading.active_count() == before
+        assert pair_digest(*got) == digest
+        # per direction: fit and probe, subgrid counts, the cyclic check
+        assert len(started) == 6
         r_ab = verify_direction(fwd, bwd, self.CFG)
         r_ba = verify_direction(bwd, fwd, self.CFG)
-        beta = verify.beta_for_working_size(fwd.height, fwd.width)
-        s = max(score_s(r.num_inliers, r.num_consistent, beta) for r in (r_ab, r_ba))
-        return s, r_ab, r_ba
+        assert pair_digest(got[0], r_ab, r_ba) == digest
 
-    def assert_same(self, got, want):
-        assert got[0] == want[0]
-        assert_same_direction(got[1], want[1])
-        assert_same_direction(got[2], want[2])
+    @pytest.mark.parametrize("k", [1, 2, 17, 18, 19, 1000])
+    def test_dlt_halves_equal_one_batch(self, k):
+        src = np.random.default_rng(k).uniform(0, 200, (k, 4, 2))
+        dst = src + np.random.default_rng(k + 1).normal(0, 5, (k, 4, 2))
+        whole = _batch_dlt_4pt(src, dst)
+        m = k // 2
+        halves = np.concatenate([_batch_dlt_4pt(src[:m], dst[:m]), _batch_dlt_4pt(src[m:], dst[m:])])
+        assert halves.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("kind, seed", [("affine", 61), ("tps", 62)])
-    def test_equals_serial_directions(self, monkeypatch, cpus, kind, seed):
-        fwd, bwd = noisy_pair(kind, seed, 0.4, size=96)
-        want = self.serial(fwd, bwd)
-        assert want[0] > 0
-        assert want[1].num_inliers != want[2].num_inliers
-        started = use_cpus(monkeypatch, cpus)
-        before = threading.active_count()
-        self.assert_same(score_pair_s(fwd, bwd, self.CFG), want)
-        assert threading.active_count() == before
-        assert len(started) == (cpus == 2)
+    @pytest.mark.parametrize("k", [1, 2, 3, 48, 1000])
+    def test_count_inliers_equals_masks(self, k):
+        fwd, _ = noisy_pair("tps", 66, 0.4, size=64)
+        pts, coords = _map_correspondences(fwd, 1)
+        rng = Lcg64(3)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
+        models = _batch_dlt_4pt(pts[quads], coords[quads])
+        want = [np.count_nonzero(verify._inlier_mask(m, pts, coords, 3.0)) for m in models]
+        assert _count_inliers(models, pts, coords, 3.0).tolist() == want
 
-    def test_no_affinity_falls_back_to_cpu_count(self, monkeypatch):
-        fwd, bwd = noisy_pair("tps", 63, 0.4)
-        want = self.serial(fwd, bwd)
-        started = use_cpus(monkeypatch, 2)
-        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        self.assert_same(score_pair_s(fwd, bwd, self.CFG), want)
-        assert started == []
+    @pytest.mark.parametrize("h", [1, 2, 7, 48])
+    def test_cyclic_halves_equal_one_pass(self, h):
+        fwd, bwd = noisy_pair("tps", 67, 0.4, size=48)
+        fwd = CorrespondenceMap(fwd.coords[:h], fwd.valid[:h])
+        back, ok = sample_map(bwd, fwd.coords[..., 0], fwd.coords[..., 1])
+        gx, gy = np.meshgrid(np.arange(48.0), np.arange(float(h)))
+        want = fwd.valid & ok & (np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= 2.0)
+        assert np.array_equal(cyclic_mask(fwd, bwd).bits, want)
 
-    def test_callers_on_four_threads_agree(self, monkeypatch):
+    def test_layer_functions_stay_on_calling_thread(self, monkeypatch):
+        # the threads run array kernels only: verify's public functions and
+        # the LCG's draws are entered on the caller's thread, so they nest
+        calls = []
+
+        def wrap(name, fn):
+            def traced(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return traced
+
+        for name, fn in list(vars(verify).items()):
+            if isinstance(fn, types.FunctionType) and not name.startswith("_") \
+                    and fn.__module__ == verify.__name__:
+                monkeypatch.setattr(verify, name, wrap(name, fn))
+        for name in ("below", "sample_distinct"):
+            monkeypatch.setattr(Lcg64, name, wrap(name, getattr(Lcg64, name)))
+        fwd, bwd = noisy_pair("tps", 62, 0.4, size=128)
+        verify.score_pair_s(fwd, bwd, self.CFG)
+        names = {name for name, _ in calls}
+        assert {"score_pair_s", "verify_direction", "ransac_homography", "fit_homography_dlt",
+                "cyclic_mask", "sample_distinct", "below"} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_callers_on_four_threads_agree(self):
         fwd, bwd = noisy_pair("tps", 64, 0.4, size=96)
-        want = self.serial(fwd, bwd)
-        use_cpus(monkeypatch, 2)
+        want = pair_digest(*score_pair_s(fwd, bwd, self.CFG))
         got = [None] * 4
 
         def call(i):
-            got[i] = score_pair_s(fwd, bwd, self.CFG)
+            got[i] = pair_digest(*score_pair_s(fwd, bwd, self.CFG))
 
         callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -793,25 +807,23 @@ class TestConcurrentDirections:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        for g in got:
-            self.assert_same(g, want)
+        assert got == [want] * 4
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_direction_error_reaches_caller(self, monkeypatch, failing):
+    def test_half_error_reaches_caller(self, monkeypatch, failing):
         fwd, bwd = noisy_pair("affine", 65, 0.4)
-        real = verify.ransac_homography
-        # the worker thread verifies o_ba = bwd, the caller o_ab = fwd
-        bad = bwd if failing == "worker" else fwd
+        real = verify._batch_dlt_4pt
+        caller = threading.current_thread()
 
-        def ransac(cmap, config):
-            if cmap is bad:
-                raise RuntimeError("direction failed")
-            return real(cmap, config)
+        def dlt(src, dst):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError("half failed")
+            return real(src, dst)
 
-        started = use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(verify, "ransac_homography", ransac)
+        started = count_threads(monkeypatch)
+        monkeypatch.setattr(verify, "_batch_dlt_4pt", dlt)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="direction failed"):
+        with pytest.raises(RuntimeError, match="half failed"):
             score_pair_s(fwd, bwd, self.CFG)
         assert threading.active_count() == before
         assert len(started) == 1 and not started[0].is_alive()
