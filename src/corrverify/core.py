@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -36,11 +37,11 @@ def _both(on_worker, on_caller):
     started for this call, the second on the calling thread.  The thread is
     joined before returning and its exception re-raised.
 
-    The package's kernels split their work with it.  The thunks call array
-    helpers only (sampling, resizing, fitting, counting): no file I/O, no
-    random draws and no public function of verify or pyramid.  Those run on
-    the calling thread alone, so their calls nest as in a serial run, which
-    a tracer that wraps them relies on.
+    The package's kernels split their work with it.  The thunks never call
+    the package's readers and writers, resample_map, a public function of
+    pyramid or verify, or the LCG: those are entered on the calling thread
+    alone, so their calls nest as in a serial run, which a tracer that wraps
+    them relies on.
     """
     out = []
 
@@ -528,13 +529,26 @@ def write_fmap(fmap: FeatureMap, path) -> None:
 
 
 def read_fmap(path) -> FeatureMap:
+    """The payload is read straight into the array, its two halves at once
+    (see _halves)."""
     with open(path, "rb") as f:
-        buf = f.read()
-    (h, w, c), pos = _read_header(buf, b"FMAP", 3)
-    n = h * w * c
-    if len(buf) - pos < 4 * n:
-        raise ParseError(f"truncated payload at byte {len(buf)}")
-    values = np.frombuffer(buf, dtype="<f4", count=n, offset=pos).reshape(h, w, c)
+        # magic, then version and three dimensions as u32
+        (h, w, c), pos = _read_header(f.read(4 + 4 * 4), b"FMAP", 3)
+        size = os.fstat(f.fileno()).st_size
+    if size - pos < 4 * h * w * c:
+        raise ParseError(f"truncated payload at byte {size}")
+    values = np.empty((h, w, c), dtype="<f4")
+    payload = memoryview(values).cast("B")
+
+    def read(lo, hi):
+        with open(path, "rb") as f:
+            f.seek(pos + lo)
+            got = f.readinto(payload[lo:hi])
+        if got != hi - lo:
+            # the file shrank after its size was read
+            raise ParseError(f"truncated payload at byte {pos + lo + got}")
+
+    _halves(read, len(payload))
     return FeatureMap(values)
 
 

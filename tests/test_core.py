@@ -1,12 +1,14 @@
 """Core types, sampling, resizing and file formats."""
 
 import struct
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrverify import core
 from corrverify.core import (
     CorrespondenceMap,
     GlobalDescriptor,
@@ -215,13 +217,27 @@ class TestCmapIO:
 
 
 class TestFmapGdscIO:
-    def test_fmap_round_trip(self, tmp_path):
+    # the payload is read in two halves, which may split a float's bytes
+    @pytest.mark.parametrize("shape", [(5, 6, 7), (1, 1, 1), (1, 1, 3), (3, 1, 1)])
+    def test_fmap_round_trip(self, tmp_path, shape):
         rng = np.random.default_rng(9)
-        fm = FeatureMap(rng.standard_normal((5, 6, 7), dtype=np.float32))
+        fm = FeatureMap(rng.standard_normal(shape, dtype=np.float32))
         p = tmp_path / "f.fmap"
         write_fmap(fm, p)
         back = read_fmap(p)
-        assert np.array_equal(back.values, fm.values)
+        assert back.values.tobytes() == fm.values.tobytes()
+
+    def test_fmap_shrunk_while_read(self, tmp_path, monkeypatch):
+        # the size check passes, then one half's read comes up short
+        p = tmp_path / "f.fmap"
+        write_fmap(FeatureMap(np.ones((4, 4, 2), dtype=np.float32)), p)
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-8])
+        real = core.os.fstat
+        monkeypatch.setattr(core.os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=max(real(fd).st_size, size)))
+        with pytest.raises(ParseError, match=f"truncated payload at byte {size - 8}$"):
+            read_fmap(p)
 
     def test_gdsc_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
