@@ -314,7 +314,9 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     is driven by a portable 64-bit LCG so results are bit-stable for a given
     seed.  The best hypothesis (by subgrid inlier count, ties to the earlier
     iteration) is refit with DLT on its inliers; the reported mask holds the
-    refit model's inliers over all valid pixels.
+    refit model's inliers over all valid pixels.  The draws come first, on
+    the calling thread; the two halves of the hypotheses are then fitted and
+    probed at once, and so are the two halves of the prescreened set.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -525,7 +527,9 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Returns (S, result_AB, result_BA).  Each direction owns an independent
     LCG seeded with the same configured value, which keeps the score exactly
-    symmetric under swapping the input pair.
+    symmetric under swapping the input pair.  The directions run one after
+    the other; within each, RANSAC and the cyclic check split their own
+    work in halves (see the module docstring).
     """
     beta = beta_for_working_size(o_ab.height, o_ab.width)
     r_ab = verify_direction(o_ab, o_ba, ransac)
