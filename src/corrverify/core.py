@@ -392,13 +392,16 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
     tensor-grid resizer (`resize_grid`), rescaling both the grid positions
     and the stored source coordinates by the half-pixel mapping.
 
-    Pixels whose interpolation touches any invalid prior pixel are invalid.
-    The top and the bottom half of the new rows are resampled at once (see
-    _halves).
+    Pixels whose interpolation touches any invalid prior pixel are invalid,
+    so a map with no valid pixel gives all-invalid, zero coordinates, which
+    are returned without resampling.  The top and the bottom half of the new
+    rows are resampled at once (see _halves).
     """
     h, w = cmap.height, cmap.width
     if (new_h, new_w) == (h, w):
         return cmap
+    if not cmap.valid.any():
+        return CorrespondenceMap(np.zeros((new_h, new_w, 2)), np.zeros((new_h, new_w), dtype=bool))
     grid = np.dstack([cmap.coords, cmap.valid])
 
     def rows(r0, r1):

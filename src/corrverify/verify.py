@@ -11,6 +11,12 @@ scores used for re-ranking:
 * ``G`` the Euclidean distance between global descriptors;
 * ``S_F = log10(S_L * S) * 10**(-G)``.
 
+A direction is checked for cyclic consistency first.  C is the cyclic mask
+AND I, so |C| <= k, the cyclic mask's count, and S <= exp(-beta/k); when
+``score_s(k, k, beta)`` is 0.0 (exp underflows: k <= 77 at 240^2) S is 0
+whatever RANSAC finds, and the direction skips RANSAC and reports no model
+and empty I and C.  S and S_F are bitwise those of a full run.
+
 RANSAC fits and counts its hypotheses, and the cyclic check visits its
 rows, in two halves that run at once (``core._halves``).  Every hypothesis
 and every pixel is computed on its own and the halves are joined in order,
@@ -170,17 +176,6 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     return Homography(H)
 
 
-def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """max(forward, backward) transfer distance per correspondence, inf where
-    a point maps to the horizon.  The hypot reference RANSAC's inlier test
-    is checked against."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        df = project(h.matrix, src) - dst
-        db = project(np.linalg.inv(h.matrix), dst) - src
-        err = np.maximum(np.hypot(df[:, 0], df[:, 1]), np.hypot(db[:, 0], db[:, 1]))
-    return np.where(np.isfinite(err), err, np.inf)
-
-
 def _inverses(models: np.ndarray) -> np.ndarray:
     """(K, 3, 3) inverses; nan where a model is nan or singular."""
     with np.errstate(invalid="ignore"):
@@ -198,10 +193,10 @@ def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
     laid out plane by plane so that x, y and w are each contiguous.
 
     The projection and the differences dx, dy are computed exactly as in
-    project and symmetric_transfer_error, but tested as dx*dx + dy*dy <= t*t:
-    the squared sum is within 2 ulp of the exact value and hypot within 1, so
-    only the rare pixels within 1e-12 t*t of the boundary need hypot to
-    reproduce the reference decision.
+    project, but tested as dx*dx + dy*dy <= t*t rather than by hypot(dx, dy)
+    <= t: the squared sum is within 2 ulp of the exact value and hypot within
+    1, so only the rare pixels within 1e-12 t*t of the boundary need hypot to
+    reproduce the hypot decision.
     """
     ph, sq = ph[:, :len(H)], sq[:len(H)]
     np.matmul(H, pts_h, out=ph.transpose(1, 0, 2))
@@ -421,20 +416,6 @@ class VerificationResult:
         return self.consistent_mask.count()
 
 
-@dataclass(frozen=True)
-class SimilarityScores:
-    """Scores for one query-database pair."""
-
-    G: float
-    S: float
-    S_L: float
-    S_F: float
-    S_A: float = 0.0
-    S_B: float = 0.0
-    # Eq. 3 inverts its intended ordering when 0 < S_L*S < 1; flagged here
-    s_f_damped_regime: bool = False
-
-
 def score_s(num_inliers: int, num_consistent: int, beta: float) -> float:
     """Structural similarity (|C|/|I|) * exp(-beta/|C|); 0 on empty sets."""
     if num_inliers <= 0 or num_consistent <= 0:
@@ -515,10 +496,21 @@ def beta_for_working_size(height: int, width: int) -> float:
 
 def verify_direction(o_fwd: CorrespondenceMap, o_bwd: CorrespondenceMap,
                      ransac: RansacConfig) -> VerificationResult:
-    """RANSAC + cyclic consistency for the map o_fwd, checked against o_bwd."""
+    """Cyclic consistency + RANSAC for the map o_fwd, checked against o_bwd.
+
+    The cyclic check runs first.  With k its count and beta o_fwd's pixel
+    count, C = cyclic AND I gives |C| <= k, and S = (|C|/|I|) exp(-beta/|C|)
+    <= exp(-beta/k) = score_s(k, k, beta).  When that is 0.0 the direction's
+    S is 0 whatever RANSAC finds: RANSAC is skipped, and the result has no
+    model and empty I and C.
+    """
+    cyclic = cyclic_mask(o_fwd, o_bwd)
+    k = cyclic.count()
+    if score_s(k, k, beta_for_working_size(o_fwd.height, o_fwd.width)) == 0.0:
+        empty = Mask(np.zeros_like(cyclic.bits))
+        return VerificationResult(None, empty, empty)
     model, inliers = ransac_homography(o_fwd, ransac)
-    consistent = Mask(cyclic_mask(o_fwd, o_bwd).bits & inliers.bits)
-    return VerificationResult(model, inliers, consistent)
+    return VerificationResult(model, inliers, Mask(cyclic.bits & inliers.bits))
 
 
 def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
@@ -527,15 +519,19 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Returns (S, result_AB, result_BA).  Each direction owns an independent
     LCG seeded with the same configured value, which keeps the score exactly
-    symmetric under swapping the input pair.  The directions run one after
-    the other; within each, RANSAC and the cyclic check split their own
-    work in halves (see the module docstring).
+    symmetric under swapping the input pair.  Each direction's S takes beta
+    from its own map's grid, as verify_direction's skip does: a direction
+    whose cyclic count cannot give S > 0 runs no RANSAC and reports no model
+    and empty I and C, and its S is 0 either way.  The directions run one
+    after the other; within each, RANSAC and the cyclic check split their
+    own work in halves (see the module docstring).
     """
-    beta = beta_for_working_size(o_ab.height, o_ab.width)
     r_ab = verify_direction(o_ab, o_ba, ransac)
     r_ba = verify_direction(o_ba, o_ab, ransac)
-    s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, beta)
-    s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, beta)
+    s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent,
+                   beta_for_working_size(o_ab.height, o_ab.width))
+    s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent,
+                   beta_for_working_size(o_ba.height, o_ba.width))
     return max(s_ab, s_ba), r_ab, r_ba
 
 

@@ -544,6 +544,19 @@ class TestResampleMap:
         cmap = identity_map(7, 9)
         assert resample_map(cmap, 7, 9) is cmap
 
+    @pytest.mark.parametrize("new_h, new_w", [(1, 5), (13, 7), (480, 480)])
+    def test_all_invalid_map_skips_resampling(self, monkeypatch, new_h, new_w):
+        cmap = CorrespondenceMap(np.ones((11, 9, 2)), np.zeros((11, 9), dtype=bool))
+        want, want_ok = resample_oracle(cmap, new_h, new_w)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("resample_map started a thread")
+
+        monkeypatch.setattr(core, "threading", types.SimpleNamespace(Thread=no_thread))
+        got = resample_map(cmap, new_h, new_w)
+        assert np.array_equal(got.valid, want_ok) and not want_ok.any()
+        assert got.coords.shape == want.shape and got.coords.tobytes() == want.tobytes()
+
     def test_invalid_source_pixel_invalidates_its_footprint(self):
         valid = np.ones((4, 4), dtype=bool)
         valid[1, 1] = False

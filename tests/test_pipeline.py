@@ -76,10 +76,11 @@ PINNED = {
     "positive": (positive, {
         "I": (15080, 16226), "C": (14959, 15835), "G": 0.2985123620042847,
         "S": 0.3467808520915773, "S_L": 14466.043035536613, "S_F": 1.8609593252775494}),
-    # RANSAC finds local models in the smooth field, but no inlier is
-    # cyclically consistent: S and S_L are 0 and the pair ranks last
+    # the smooth fields do not compose: each direction has too few cyclically
+    # consistent pixels for S > 0, so RANSAC is skipped, I and C are empty,
+    # S and S_L are 0 and the pair ranks last
     "distractor": (distractor, {
-        "I": (307, 198), "C": (0, 0), "G": 0.49145924062021085,
+        "I": (0, 0), "C": (0, 0), "G": 0.49145924062021085,
         "S": 0.0, "S_L": 0.0, "S_F": float("-inf")}),
 }
 

@@ -49,9 +49,19 @@ from corrverify.verify import (
     score_s_f,
     score_s_l,
     score_variant,
-    symmetric_transfer_error,
     verify_direction,
 )
+
+
+def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """max(forward, backward) transfer distance per correspondence, inf where
+    a point maps to the horizon: the hypot reference RANSAC's inlier test is
+    checked against."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        df = project(h.matrix, src) - dst
+        db = project(np.linalg.inv(h.matrix), dst) - src
+        err = np.maximum(np.hypot(df[:, 0], df[:, 1]), np.hypot(db[:, 0], db[:, 1]))
+    return np.where(np.isfinite(err), err, np.inf)
 
 
 class TestDlt:
@@ -176,6 +186,23 @@ class TestScoreS:
         c = 300
         vals = [score_s(i, c, beta) for i in range(c, 2000)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @given(st.integers(1, 600), st.integers(1, 600), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cyclic_count_bounds_s(self, h, w, data):
+        # verify_direction skips RANSAC when score_s(k, k, beta) == 0: then
+        # every |I| = i and |C| = c <= min(k, i) must give S == 0 too
+        beta = verify.beta_for_working_size(h, w)
+        k = data.draw(st.integers(0, min(h * w, int(beta / 745.13) + 2)))
+        c = data.draw(st.integers(0, k))
+        i = data.draw(st.integers(c, h * w))
+        if score_s(k, k, beta) == 0.0:
+            assert score_s(i, c, beta) == 0.0
+
+    def test_skip_boundary_at_240(self):
+        beta = verify.beta_for_working_size(240, 240)
+        assert score_s(77, 77, beta) == 0.0
+        assert score_s(78, 78, beta) > 0.0
 
 
 class TestScoreSF:
@@ -826,4 +853,66 @@ class TestSplitKernels:
         with pytest.raises(RuntimeError, match="half failed"):
             score_pair_s(fwd, bwd, self.CFG)
         assert threading.active_count() == before
-        assert len(started) == 1 and not started[0].is_alive()
+        # the cyclic check's halves start one thread before the DLT fails
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+def incoherent_pair(seed, size=128, cells=6):
+    """Distractor maps both ways: coarse uniform random grids, bilinearly
+    upsampled, so each field is locally smooth but the two do not compose."""
+    def field(s):
+        coarse = np.random.default_rng(s).uniform(0.0, size - 1.0, (cells, cells, 2))
+        return CorrespondenceMap.from_coords(core.resize_grid(coarse, size, size), (size, size))
+    return field(seed), field(seed + 1)
+
+
+def count_ransac(monkeypatch):
+    """Record every map verify.ransac_homography is entered with."""
+    entered = []
+    real = verify.ransac_homography
+
+    def counted(cmap, config):
+        entered.append(cmap)
+        return real(cmap, config)
+
+    monkeypatch.setattr(verify, "ransac_homography", counted)
+    return entered
+
+
+class TestCyclicSkip:
+    """A direction whose cyclic count cannot give S > 0 skips RANSAC."""
+
+    CFG = RansacConfig(seed=5)
+
+    def test_distractor_skips_ransac(self, monkeypatch):
+        o_ab, o_ba = incoherent_pair(3)
+        beta = verify.beta_for_working_size(128, 128)
+        # run in full, the A->B direction keeps one consistent inlier; S is 0 anyway
+        _, inliers = ransac_homography(o_ab, self.CFG)
+        full_c = np.count_nonzero(inliers.bits & cyclic_mask(o_ab, o_ba).bits)
+        assert full_c == 1 and score_s(inliers.count(), full_c, beta) == 0.0
+        entered = count_ransac(monkeypatch)
+        s, r_ab, r_ba = score_pair_s(o_ab, o_ba, self.CFG)
+        assert entered == [] and s == 0.0
+        for fwd, bwd, r in ((o_ab, o_ba, r_ab), (o_ba, o_ab, r_ba)):
+            assert 0 < cyclic_mask(fwd, bwd).count() <= 77
+            assert r.homography is None and r.num_inliers == r.num_consistent == 0
+            assert r.inlier_mask.bits.shape == (128, 128)
+
+    def test_positive_pair_runs_ransac_both_ways(self, monkeypatch):
+        fwd, bwd = noisy_pair("affine", 61, 0.4, size=128)
+        entered = count_ransac(monkeypatch)
+        s, r_ab, r_ba = score_pair_s(fwd, bwd, self.CFG)
+        assert len(entered) == 2 and entered[0] is fwd and entered[1] is bwd
+        assert s > 0.0 and r_ab.homography is not None and r_ba.homography is not None
+
+    def test_all_invalid_pair_starts_no_ransac(self, monkeypatch):
+        empty = CorrespondenceMap(np.zeros((40, 50, 2)), np.zeros((40, 50), dtype=bool))
+        entered = count_ransac(monkeypatch)
+        started = count_threads(monkeypatch)
+        s, r_ab, r_ba = score_pair_s(empty, empty, self.CFG)
+        assert s == 0.0 and entered == []
+        # one thread per direction, for the cyclic check's halves
+        assert len(started) == 2
+        for r in (r_ab, r_ba):
+            assert r.homography is None and r.num_inliers == r.num_consistent == 0
