@@ -899,6 +899,17 @@ class TestCyclicSkip:
             assert r.homography is None and r.num_inliers == r.num_consistent == 0
             assert r.inlier_mask.bits.shape == (128, 128)
 
+    @pytest.mark.parametrize("k, runs", [(77, 0), (78, 1)])
+    def test_gate_at_240(self, monkeypatch, k, runs):
+        # identity maps: exactly the k valid pixels of o_fwd return home
+        valid = np.zeros(240 * 240, dtype=bool)
+        valid[::97][:k] = True
+        o_fwd = CorrespondenceMap(identity_map(240, 240).coords, valid.reshape(240, 240))
+        assert cyclic_mask(o_fwd, identity_map(240, 240)).count() == k
+        entered = count_ransac(monkeypatch)
+        verify_direction(o_fwd, identity_map(240, 240), self.CFG)
+        assert len(entered) == runs
+
     def test_positive_pair_runs_ransac_both_ways(self, monkeypatch):
         fwd, bwd = noisy_pair("affine", 61, 0.4, size=128)
         entered = count_ransac(monkeypatch)
