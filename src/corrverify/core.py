@@ -24,20 +24,17 @@ class ParseError(ValueError):
     """Malformed binary payload; message carries the failing byte offset."""
 
 
-class InvalidSampleError(ValueError):
-    """Requested sample coordinate falls outside the grid."""
-
-
 # ---------------------------------------------------------------------------
 # two-way concurrency
 # ---------------------------------------------------------------------------
 
-def _both(on_worker, on_caller):
-    """(on_worker(), on_caller()), run at once: the first thunk on a thread
-    started for this call, the second on the calling thread.  The thread is
-    joined before returning and its exception re-raised.
+def _halves(part, n: int):
+    """(part(0, n // 2), part(n // 2, n)), run at once: the first half on a
+    thread started for this call, the second on the calling thread.  The
+    thread is joined before returning and its exception re-raised.
 
-    The package's kernels split their work with it.  The thunks never call
+    Callers split work whose items are computed independently, so the
+    joined halves equal one serial pass bit for bit.  The halves never call
     the package's readers and writers, resample_map, a public function of
     pyramid or verify, or the LCG: those are entered on the calling thread
     alone, so their calls nest as in a serial run, which a tracer that wraps
@@ -47,27 +44,20 @@ def _both(on_worker, on_caller):
 
     def run():
         try:
-            out.append((True, on_worker()))
+            out.append((True, part(0, n // 2)))
         except BaseException as exc:
             out.append((False, exc))
 
     thread = threading.Thread(target=run)
     thread.start()
     try:
-        mine = on_caller()
+        mine = part(n // 2, n)
     finally:
         thread.join()
     ok, theirs = out[0]
     if not ok:
         raise theirs
     return theirs, mine
-
-
-def _halves(part, n: int):
-    """(part(0, n // 2), part(n // 2, n)), run at once (see _both).  Callers
-    split work whose items are computed independently, so the joined halves
-    equal one serial pass bit for bit."""
-    return _both(lambda: part(0, n // 2), lambda: part(n // 2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +240,6 @@ def _in_bounds(xs, ys, h: int, w: int) -> np.ndarray:
             & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
 
 
-def bilinear_sample(values, x: float, y: float):
-    """Bilinear interpolation of a (H, W) or (H, W, C) grid at one point.
-
-    Exact at integer coordinates.  Raises InvalidSampleError outside
-    [0, W-1] x [0, H-1].
-    """
-    values = np.asarray(values)
-    out, ok = bilinear_sample_grid(values, [x], [y])
-    if not ok[0]:
-        h, w = values.shape[:2]
-        raise InvalidSampleError(f"sample ({x}, {y}) outside [0,{w - 1}]x[0,{h - 1}]")
-    return out[0]
-
-
 def bilinear_sample_grid(values, xs, ys):
     """Vectorized bilinear sampling with an out-of-bounds validity mask.
 
@@ -353,13 +329,6 @@ def sample_map(cmap: CorrespondenceMap, xs, ys):
     contributing a nonzero interpolation weight is itself valid.
     """
     return _valid_samples(*bilinear_sample_grid(np.dstack([cmap.coords, cmap.valid]), xs, ys))
-
-
-def identity_map(h: int, w: int) -> CorrespondenceMap:
-    """Map whose coordinates are the grid positions themselves."""
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    return CorrespondenceMap(np.stack([xs, ys], axis=2), np.ones((h, w), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -242,14 +242,10 @@ def _sample_spec(kind: str, magnitude: float, seed: int, attempt: int,
         corners = np.array([[0, 0], [w - 1.0, 0], [w - 1.0, h - 1.0], [0, h - 1.0]])
         delta = rng.uniform(-1, 1, (4, 2)) * (0.2 * magnitude) * np.array([w, h])
         try:
-            hmat = fit_homography_dlt(corners, corners + delta).matrix
+            params = {"matrix": fit_homography_dlt(corners, corners + delta).matrix}
         except DegenerateModelError:
-            hmat = None
-        if hmat is None:
-            # degenerate corner draw: force a retry through the probe
-            hmat = np.zeros((3, 3))
-            hmat[2, 2] = 1.0
-        params = {"matrix": hmat}
+            # degenerate corner draw: a singular matrix fails the probe, so it is retried
+            params = {"matrix": np.diag([0.0, 0.0, 1.0])}
     else:
         gx, gy = np.meshgrid(np.linspace(0, w - 1.0, 3), np.linspace(0, h - 1.0, 3))
         controls = np.stack([gx.ravel(), gy.ravel()], axis=1)

@@ -14,12 +14,9 @@ from corrverify.core import (
     GlobalDescriptor,
     FeatureMap,
     Image,
-    InvalidSampleError,
     Mask,
     ParseError,
-    bilinear_sample,
     bilinear_sample_grid,
-    identity_map,
     load_image,
     read_cmap,
     read_fmap,
@@ -36,6 +33,8 @@ from corrverify.core import (
     write_fmap,
     write_gdsc,
 )
+
+from helpers import identity_map
 
 
 def naive_bilinear(values, x, y):
@@ -56,41 +55,43 @@ class TestBilinearSample:
     def test_integer_coordinate_is_identity(self):
         rng = np.random.default_rng(0)
         grid = rng.random((8, 8))
-        assert bilinear_sample(grid, 3, 5) == grid[5, 3]
+        out, ok = bilinear_sample_grid(grid, [3], [5])
+        assert ok[0] and out[0] == grid[5, 3]
 
     def test_corner_midpoint_symmetry(self):
         grid = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert bilinear_sample(grid, 0.5, 0.5) == pytest.approx(0.5)
+        out, ok = bilinear_sample_grid(grid, [0.5], [0.5])
+        assert ok[0] and out[0] == pytest.approx(0.5)
 
     def test_matches_hand_computed_weighted_sum(self):
         rng = np.random.default_rng(7)
         grid = rng.random((4, 4))
-        got = bilinear_sample(grid, 1.25, 2.75)
-        assert got == pytest.approx(naive_bilinear(grid, 1.25, 2.75), abs=1e-12)
+        out, ok = bilinear_sample_grid(grid, [1.25], [2.75])
+        assert ok[0] and out[0] == pytest.approx(naive_bilinear(grid, 1.25, 2.75), abs=1e-12)
 
-    def test_out_of_bounds_raises(self):
-        grid = np.zeros((4, 4))
-        for x, y in [(-0.01, 0), (0, -0.01), (3.01, 0), (0, 3.01)]:
-            with pytest.raises(InvalidSampleError):
-                bilinear_sample(grid, x, y)
+    def test_out_of_bounds_is_invalid_and_zero(self):
+        grid = np.ones((4, 4))
+        out, ok = bilinear_sample_grid(grid, [-0.01, 0, 3.01, 0], [0, -0.01, 0, 3.01])
+        assert not ok.any()
+        assert np.all(out == 0.0)
 
     def test_linear_along_axis(self):
         rng = np.random.default_rng(3)
         grid = rng.random((5, 5))
-        y = 2
-        v0 = bilinear_sample(grid, 1.0, y)
-        v1 = bilinear_sample(grid, 2.0, y)
-        for t in (0.2, 0.5, 0.9):
-            assert bilinear_sample(grid, 1.0 + t, y) == pytest.approx(v0 + t * (v1 - v0))
+        ts = np.array([0.2, 0.5, 0.9])
+        (v0, v1), _ = bilinear_sample_grid(grid, [1.0, 2.0], [2, 2])
+        out, ok = bilinear_sample_grid(grid, 1.0 + ts, np.full(3, 2))
+        assert ok.all()
+        assert out == pytest.approx(v0 + ts * (v1 - v0))
 
-    def test_grid_variant_matches_scalar_and_flags_oob(self):
+    def test_channels_match_hand_computed_and_flag_oob(self):
         rng = np.random.default_rng(11)
         grid = rng.random((6, 7, 3))
         xs = np.array([0.0, 5.9, -1.0, 3.25])
         ys = np.array([0.0, 4.9, 2.0, 1.5])
         out, ok = bilinear_sample_grid(grid, xs, ys)
         assert ok.tolist() == [True, True, False, True]
-        assert np.allclose(out[3], bilinear_sample(grid, 3.25, 1.5))
+        assert np.allclose(out[3], naive_bilinear(grid, 3.25, 1.5))
         assert np.all(out[2] == 0.0)
 
     @given(st.integers(0, 6), st.integers(0, 6))
@@ -98,7 +99,8 @@ class TestBilinearSample:
     def test_exact_at_grid_points(self, ix, iy):
         rng = np.random.default_rng(ix * 31 + iy)
         grid = rng.random((7, 7))
-        assert bilinear_sample(grid, ix, iy) == grid[iy, ix]
+        out, ok = bilinear_sample_grid(grid, [ix], [iy])
+        assert ok[0] and out[0] == grid[iy, ix]
 
 
 class TestImageType:

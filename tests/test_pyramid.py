@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from corrverify.core import FeatureMap, Image, bilinear_sample, resize_image, to_grayscale
+from corrverify.core import FeatureMap, Image, bilinear_sample_grid, resize_image, to_grayscale
 from corrverify.pyramid import (
     GAUSSIAN_SIGMA,
     ORIENTATION_BINS,
@@ -210,7 +210,7 @@ class TestHypercolumn:
             h, w = fm.height, fm.width
             sy = np.clip((ty + 0.5) * h / 480 - 0.5, 0, h - 1)
             sx = np.clip((tx + 0.5) * w / 480 - 0.5, 0, w - 1)
-            v = bilinear_sample(fm.values, sx, sy)
+            (v,), _ = bilinear_sample_grid(fm.values, [sx], [sy])
             n = np.linalg.norm(v)
             parts.append(v / n if n > 1e-12 else v)
         expect = np.concatenate(parts)

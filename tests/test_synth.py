@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from corrverify.core import Image, identity_map
+from corrverify import synth
+from corrverify.core import Image
 from corrverify.synth import (
     JITTER_BRIGHTNESS,
     JITTER_SIGMA,
@@ -22,7 +23,9 @@ from corrverify.synth import (
     warp_jacobian,
     warp_points,
 )
-from corrverify.verify import cyclic_mask
+from corrverify.verify import DegenerateModelError, cyclic_mask
+
+from helpers import identity_map
 
 
 def grid_points(h, w, step=7):
@@ -49,6 +52,28 @@ class TestRandomWarp:
         for seed in range(1000):
             spec = random_warp("homography", 0.5, seed=seed)
             assert invertibility_probe(spec)
+
+    def test_degenerate_corner_draw_is_retried(self, monkeypatch):
+        frame = (240, 240)
+        want = synth._sample_spec("homography", 0.5, 7, 1, frame)
+        real = synth.fit_homography_dlt
+        fits = []
+
+        def fit(src, dst):
+            fits.append(src)
+            if len(fits) == 1:
+                raise DegenerateModelError("corners do not determine a homography")
+            return real(src, dst)
+
+        monkeypatch.setattr(synth, "fit_homography_dlt", fit)
+        got = random_warp("homography", 0.5, seed=7, frame_hw=frame)
+        assert len(fits) == 2
+        assert got.to_dict() == want.to_dict()
+        # attempt 0 on its own: the singular stand-in fails the probe
+        fits.clear()
+        degenerate = synth._sample_spec("homography", 0.5, 7, 0, frame)
+        assert np.array_equal(degenerate.params["matrix"], np.diag([0.0, 0.0, 1.0]))
+        assert not invertibility_probe(degenerate)
 
     def test_bad_magnitude_rejected(self):
         with pytest.raises(ValueError):

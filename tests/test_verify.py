@@ -18,7 +18,7 @@ from corrverify.core import (
     FeatureMap,
     GlobalDescriptor,
     Mask,
-    identity_map,
+    bilinear_sample_grid,
     sample_map,
 )
 from corrverify.rng import Lcg64
@@ -51,6 +51,8 @@ from corrverify.verify import (
     score_variant,
     verify_direction,
 )
+
+from helpers import identity_map
 
 
 def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -279,8 +281,6 @@ class TestScoreSL:
         assert got == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_bruteforce_oracle(self):
-        from corrverify.core import bilinear_sample
-
         rng = np.random.default_rng(3)
         fa = unit_field(4, 8, 8, 5)
         fb = unit_field(5, 8, 8, 5)
@@ -294,7 +294,8 @@ class TestScoreSL:
             for x in range(8):
                 if not (mask[y, x] and cmap.valid[y, x]):
                     continue
-                v = bilinear_sample(fa.values, *cmap.coords[y, x])
+                cx, cy = cmap.coords[y, x]
+                (v,), _ = bilinear_sample_grid(fa.values, [cx], [cy])
                 n = np.linalg.norm(v)
                 if n > 1e-12:
                     expect += float(np.dot(v / n, fb.values[y, x].astype(np.float64)))
