@@ -8,10 +8,16 @@ Conventions used throughout the package:
   absolute (x, y) coordinate of the matching point in image A, so sampling
   A at those coordinates warps A into B's frame;
 * out-of-bounds samples are treated as invalid rather than clamped.
+
+CMAP, FMAP and GDSC files share one container: a 4-byte magic, a u32
+version (1), u32 dimensions, then a little-endian payload.  CMAP (H, W):
+f32 (x, y) per pixel, then u8 valid per pixel.  FMAP (H, W, C): f32 H x W x C.
+GDSC (D): f32 D.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -450,67 +456,48 @@ def save_image(image: Image, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# CMAP / FMAP / GDSC binary formats (little-endian)
+# CMAP / FMAP / GDSC binary formats
 # ---------------------------------------------------------------------------
 
 _MAX_DIM = 1 << 20
 
+# payloads of at least this many bytes (FMAPs) are read in two halves at
+# once; smaller ones (CMAPs and GDSCs) in one read on the calling thread
+SPLIT_READ_BYTES = 1 << 20
 
-def _read_header(buf: bytes, magic: bytes, n_dims: int):
-    if buf[:4] != magic:
-        raise ParseError(f"wrong magic {buf[:4]!r} at byte 0, expected {magic!r}")
-    need = 4 + 4 * (1 + n_dims)
-    if len(buf) < need:
-        raise ParseError(f"truncated header at byte {len(buf)}")
-    vals = struct.unpack_from("<%dI" % (1 + n_dims), buf, 4)
-    if vals[0] != 1:
-        raise ParseError(f"unsupported version {vals[0]} at byte 4")
-    for i, d in enumerate(vals[1:]):
+
+def _write_binary(path, magic: bytes, dims, *arrays) -> None:
+    """Write the container: magic, version 1, dims, then the arrays' bytes."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<%dI" % (1 + len(dims)), 1, *dims))
+        for a in arrays:
+            f.write(a)
+
+
+def _read_binary(path, magic: bytes, n_dims: int, cell_bytes: int):
+    """(dims, payload) of a container file, payload a flat uint8 array of
+    cell_bytes per cell.  The header, then the payload size against the
+    file's size, are checked before the payload is allocated, so a malformed
+    file costs no more memory than its header; the payload is then read
+    straight into the array (see SPLIT_READ_BYTES)."""
+    pos = 4 + 4 * (1 + n_dims)
+    with open(path, "rb") as f:
+        head = f.read(pos)
+        size = os.fstat(f.fileno()).st_size
+    if head[:4] != magic:
+        raise ParseError(f"wrong magic {head[:4]!r} at byte 0, expected {magic!r}")
+    if len(head) < pos:
+        raise ParseError(f"truncated header at byte {len(head)}")
+    version, *dims = struct.unpack_from("<%dI" % (1 + n_dims), head, 4)
+    if version != 1:
+        raise ParseError(f"unsupported version {version} at byte 4")
+    for i, d in enumerate(dims):
         if d == 0 or d > _MAX_DIM:
             raise ParseError(f"dimension {d} out of range at byte {8 + 4 * i}")
-    return vals[1:], need
-
-
-def write_cmap(cmap: CorrespondenceMap, path) -> None:
-    h, w = cmap.height, cmap.width
-    with open(path, "wb") as f:
-        f.write(b"CMAP" + struct.pack("<III", 1, h, w))
-        f.write(np.ascontiguousarray(cmap.coords, dtype="<f4"))
-        f.write(np.ascontiguousarray(cmap.valid, dtype=np.uint8))
-
-
-def read_cmap(path) -> CorrespondenceMap:
-    with open(path, "rb") as f:
-        buf = f.read()
-    (h, w), pos = _read_header(buf, b"CMAP", 2)
-    n = h * w
-    need = 8 * n + n
-    if len(buf) - pos < need:
-        raise ParseError(f"truncated payload at byte {len(buf)}")
-    coords = np.frombuffer(buf, dtype="<f4", count=2 * n, offset=pos)
-    coords = coords.astype(np.float64).reshape(h, w, 2)
-    flags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos + 8 * n)
-    return CorrespondenceMap(coords, flags.reshape(h, w) != 0)
-
-
-def write_fmap(fmap: FeatureMap, path) -> None:
-    h, w, c = fmap.values.shape
-    with open(path, "wb") as f:
-        f.write(b"FMAP" + struct.pack("<IIII", 1, h, w, c))
-        f.write(np.ascontiguousarray(fmap.values, dtype="<f4"))
-
-
-def read_fmap(path) -> FeatureMap:
-    """The payload is read straight into the array, its two halves at once
-    (see _halves)."""
-    with open(path, "rb") as f:
-        # magic, then version and three dimensions as u32
-        (h, w, c), pos = _read_header(f.read(4 + 4 * 4), b"FMAP", 3)
-        size = os.fstat(f.fileno()).st_size
-    if size - pos < 4 * h * w * c:
+    need = cell_bytes * math.prod(dims)
+    if size - pos < need:
         raise ParseError(f"truncated payload at byte {size}")
-    values = np.empty((h, w, c), dtype="<f4")
-    payload = memoryview(values).cast("B")
+    payload = np.empty(need, dtype=np.uint8)
 
     def read(lo, hi):
         with open(path, "rb") as f:
@@ -520,23 +507,40 @@ def read_fmap(path) -> FeatureMap:
             # the file shrank after its size was read
             raise ParseError(f"truncated payload at byte {pos + lo + got}")
 
-    _halves(read, len(payload))
-    return FeatureMap(values)
+    if need < SPLIT_READ_BYTES:
+        read(0, need)
+    else:
+        _halves(read, need)
+    return dims, payload
+
+
+def write_cmap(cmap: CorrespondenceMap, path) -> None:
+    _write_binary(path, b"CMAP", (cmap.height, cmap.width),
+                  np.ascontiguousarray(cmap.coords, dtype="<f4"),
+                  np.ascontiguousarray(cmap.valid, dtype=np.uint8))
+
+
+def read_cmap(path) -> CorrespondenceMap:
+    (h, w), payload = _read_binary(path, b"CMAP", 2, 9)
+    coords = payload[:8 * h * w].view("<f4").astype(np.float64).reshape(h, w, 2)
+    return CorrespondenceMap(coords, payload[8 * h * w:].reshape(h, w) != 0)
+
+
+def write_fmap(fmap: FeatureMap, path) -> None:
+    _write_binary(path, b"FMAP", fmap.values.shape, np.ascontiguousarray(fmap.values, dtype="<f4"))
+
+
+def read_fmap(path) -> FeatureMap:
+    (h, w, c), payload = _read_binary(path, b"FMAP", 3, 4)
+    return FeatureMap(payload.view("<f4").reshape(h, w, c))
 
 
 def write_gdsc(desc: GlobalDescriptor, path) -> None:
-    with open(path, "wb") as f:
-        f.write(b"GDSC" + struct.pack("<II", 1, desc.dim))
-        f.write(np.ascontiguousarray(desc.values, dtype="<f4"))
+    _write_binary(path, b"GDSC", (desc.dim,), np.ascontiguousarray(desc.values, dtype="<f4"))
 
 
 def read_gdsc(path) -> GlobalDescriptor:
-    with open(path, "rb") as f:
-        buf = f.read()
-    (dim,), pos = _read_header(buf, b"GDSC", 1)
-    if len(buf) - pos < 4 * dim:
-        raise ParseError(f"truncated payload at byte {len(buf)}")
-    values = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos).astype(np.float64)
+    _, payload = _read_binary(path, b"GDSC", 1, 4)
     # f32 quantization of a unit vector keeps the norm well within the 1e-6
     # tolerance, so the payload is returned bit-faithfully
-    return GlobalDescriptor(values)
+    return GlobalDescriptor(payload.view("<f4").astype(np.float64))

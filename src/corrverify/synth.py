@@ -373,8 +373,8 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
     Database = warped views of the first n_queries sources (the positives)
     plus the next n_distractors sources untouched; each query is a
     differently warped view of its source.  Relevance is exact by
-    construction.  Ground-truth maps are stored for every warped image
-    against its source.
+    construction.  Each warped image's forward ground-truth map (onto its
+    source) is stored; the backward one follows from the stored warp spec.
     """
     sources = list(sources)
     if len(sources) < n_queries + n_distractors:
@@ -395,22 +395,19 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
 
     def emit_warped(image_id: str, source_img: Image, source_id: str, warp_seed: int):
         spec = random_warp(kind, magnitude, warp_seed, (working_size, working_size))
-        warped, gt_fwd, gt_bwd = apply_warp(source_img, spec)
+        warped, gt_fwd, _ = apply_warp(source_img, spec)
         if jitter:
             warped = photometric_jitter(warped, derive_seed(warp_seed, "jitter", image_id))
         img_path = f"images/{image_id}.pgm"
         fwd_path = f"gt/{image_id}.fwd.cmap"
-        bwd_path = f"gt/{image_id}.bwd.cmap"
         save_image(warped, out / img_path)
         write_cmap(gt_fwd, out / fwd_path)
-        write_cmap(gt_bwd, out / bwd_path)
         return {
             "id": image_id,
             "path": img_path,
             "source": source_id,
             "warp": spec.to_dict(),
             "gt_forward": fwd_path,
-            "gt_backward": bwd_path,
         }
 
     for k in range(n_queries):
@@ -436,7 +433,6 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
             "source": None,
             "warp": None,
             "gt_forward": None,
-            "gt_backward": None,
         })
 
     manifest = BenchmarkManifest(

@@ -17,10 +17,11 @@ AND I, so |C| <= k, the cyclic mask's count, and S <= exp(-beta/k); when
 whatever RANSAC finds, and the direction skips RANSAC and reports no model
 and empty I and C.  S and S_F are bitwise those of a full run.
 
-RANSAC fits and counts its hypotheses, and the cyclic check visits its
-rows, in two halves that run at once (``core._halves``).  Every hypothesis
-and every pixel is computed on its own and the halves are joined in order,
-so no result depends on the split.
+RANSAC runs three stages, each in two halves at once (``core._halves``):
+fit every hypothesis, prescreen them on probe pixels (large subgrids only),
+count the kept ones on the subgrid.  The cyclic check visits its rows in two
+halves too.  Every hypothesis and every pixel is computed on its own and the
+halves are joined in order, so no result depends on the split.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _dlt_null_vectors(sn: np.ndarray, dn: np.ndarray):
     return Vt[:, -1], ok
 
 
-def _batch_dlt_4pt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _batch_dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Hartley-normalized DLT homographies src -> dst for (K, N, 2) batches
     (N >= 4), in canonical scale; nan-filled rows where degenerate."""
     sn, Ts, _, s_ok = _hartley_normalize(src)
@@ -170,7 +171,7 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2 or len(src) < 4:
         raise ValueError("need matching (N, 2) arrays with N >= 4")
-    H = _batch_dlt_4pt(src[None], dst[None])[0]
+    H = _batch_dlt(src[None], dst[None])[0]
     if np.isnan(H).any():
         raise DegenerateModelError("degenerate point configuration")
     return Homography(H)
@@ -310,8 +311,8 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     seed.  The best hypothesis (by subgrid inlier count, ties to the earlier
     iteration) is refit with DLT on its inliers; the reported mask holds the
     refit model's inliers over all valid pixels.  The draws come first, on
-    the calling thread; the two halves of the hypotheses are then fitted and
-    probed at once, and so are the two halves of the prescreened set.
+    the calling thread; then three stages each run in two halves at once
+    (see the module docstring).
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -323,38 +324,28 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     quads = np.empty((config.iterations, 4), dtype=np.int64)
     for i in range(config.iterations):
         quads[i] = rng.sample_distinct(n, 4)
-    prescreen = n > 2 * PRESCREEN_TARGET
-    if prescreen:
-        probe_idx = np.arange(0, n, int(np.ceil(n / PRESCREEN_TARGET)))
-        probe_pts, probe_coords = pts[probe_idx], coords[probe_idx]
+    t = config.inlier_threshold
 
-    def fit(lo, hi):
-        """Hypotheses lo:hi and, with a prescreen, their probe counts."""
-        # RANSAC model maps target grid -> source coords
-        models = _batch_dlt_4pt(pts[quads[lo:hi]], coords[quads[lo:hi]])
-        if not prescreen:
-            return models, None
-        return models, _count_inliers(models, probe_pts, probe_coords, config.inlier_threshold)
-
-    # every hypothesis is fitted and counted on its own: the halves run at once
-    (models, probe_counts), (tail, tail_counts) = _halves(fit, len(quads))
-    models = np.concatenate([models, tail])
-    if prescreen:
-        probe_counts = np.concatenate([probe_counts, tail_counts])
+    # RANSAC models map target grid -> source coords
+    models = np.concatenate(_halves(
+        lambda lo, hi: _batch_dlt(pts[quads[lo:hi]], coords[quads[lo:hi]]), len(quads)))
+    if n > 2 * PRESCREEN_TARGET:
+        step = int(np.ceil(n / PRESCREEN_TARGET))
+        probe_counts = np.concatenate(_halves(
+            lambda lo, hi: _count_inliers(models[lo:hi], pts[::step], coords[::step], t),
+            len(models)))
         # stable sort keeps earlier iterations first among equal counts;
         # re-sorting the kept set preserves the ties-to-earliest rule below
         order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
         models = models[np.sort(order)]
-
     counts = np.concatenate(_halves(
-        lambda lo, hi: _count_inliers(models[lo:hi], pts, coords, config.inlier_threshold),
-        len(models)))
+        lambda lo, hi: _count_inliers(models[lo:hi], pts, coords, t), len(models)))
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
     if counts[best_j] < config.min_inliers:
         return None, empty
 
     best = models[best_j]
-    inl = _inlier_mask(best, pts, coords, config.inlier_threshold)
+    inl = _inlier_mask(best, pts, coords, t)
     try:
         refit = fit_homography_dlt(pts[inl], coords[inl])
     except DegenerateModelError:
@@ -362,8 +353,7 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 
     grid_pts, grid_coords = _map_correspondences(cmap, 1)
     bits = np.zeros((cmap.height, cmap.width), dtype=bool)
-    bits[cmap.valid] = _inlier_mask(refit.matrix, grid_pts, grid_coords,
-                                    config.inlier_threshold)
+    bits[cmap.valid] = _inlier_mask(refit.matrix, grid_pts, grid_coords, t)
     return refit, Mask(bits)
 
 
@@ -377,9 +367,12 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
 
     Pixel p is set iff o_ab[p] is valid, o_ba can be sampled at o_ab[p]
     (in bounds, all contributing pixels valid), and the composed coordinate
-    lies within epsilon of p.  The top and the bottom half of the rows are
-    checked at once (see _halves).
+    lies within epsilon of p.  A map with no valid pixel gives the empty
+    mask straight away; otherwise the top and the bottom half of the rows
+    are checked at once (see _halves).
     """
+    if not o_ab.valid.any():
+        return Mask(o_ab.valid)
     h, w = o_ab.height, o_ab.width
 
     def home(r0, r1):

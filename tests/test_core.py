@@ -1,6 +1,8 @@
 """Core types, sampling, resizing and file formats."""
 
+import os
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -34,7 +36,7 @@ from corrverify.core import (
     write_gdsc,
 )
 
-from helpers import identity_map
+from helpers import count_threads, identity_map
 
 
 def naive_bilinear(values, x, y):
@@ -227,26 +229,6 @@ class TestFmapGdscIO:
         back = read_fmap(p)
         assert np.array_equal(back.values, fm.values)
 
-    # the payload is read in two halves, which may split a float's bytes
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (3, 1, 1), (5, 6, 7)])
-    def test_fmap_halves_bitwise(self, tmp_path, shape):
-        fm = FeatureMap(np.random.default_rng(8).standard_normal(shape, dtype=np.float32))
-        p = tmp_path / "f.fmap"
-        write_fmap(fm, p)
-        assert read_fmap(p).values.tobytes() == fm.values.tobytes()
-
-    def test_fmap_shrunk_while_read(self, tmp_path, monkeypatch):
-        # the size check passes, then one half's read comes up short
-        p = tmp_path / "f.fmap"
-        write_fmap(FeatureMap(np.ones((4, 4, 2), dtype=np.float32)), p)
-        size = p.stat().st_size
-        p.write_bytes(p.read_bytes()[:-8])
-        real = core.os.fstat
-        monkeypatch.setattr(core.os, "fstat", lambda fd: types.SimpleNamespace(
-            st_size=max(real(fd).st_size, size)))
-        with pytest.raises(ParseError, match=f"truncated payload at byte {size - 8}$"):
-            read_fmap(p)
-
     def test_gdsc_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         v = rng.standard_normal(16)
@@ -313,6 +295,62 @@ def binary_file(magic, version, dims, payload):
     return magic.encode() + struct.pack("<%dI" % (1 + len(dims)), version, *dims) + bytes(payload)
 
 
+def random_container(fmt, dims, seed):
+    """A random FMAP / CMAP / GDSC value of the given dims, and its writer."""
+    rng = np.random.default_rng(seed)
+    if fmt == "FMAP":
+        return FeatureMap(rng.standard_normal(dims, dtype=np.float32)), write_fmap
+    if fmt == "CMAP":
+        valid = rng.random(dims) < 0.8
+        return CorrespondenceMap(rng.random(dims + (2,)) * 100, valid), write_cmap
+    v = rng.standard_normal(dims[0])
+    return GlobalDescriptor(v / np.linalg.norm(v)), write_gdsc
+
+
+# payloads on both sides of SPLIT_READ_BYTES (1 MiB); a payload read in two
+# halves may split a float's bytes
+PAYLOADS = [
+    ("FMAP", (1, 1, 1)), ("FMAP", (1, 1, 3)), ("FMAP", (3, 1, 1)), ("FMAP", (5, 6, 7)),
+    ("FMAP", (1, 262143, 1)), ("FMAP", (1, 262145, 1)),
+    ("CMAP", (1, 1)), ("CMAP", (1, 116508)), ("CMAP", (341, 342)),
+    ("GDSC", (1,)), ("GDSC", (262143,)), ("GDSC", (262145,)),
+]
+PAYLOAD_IDS = [fmt + "-" + "x".join(map(str, dims)) for fmt, dims in PAYLOADS]
+
+
+def payload_bytes(fmt, dims):
+    return {"FMAP": 4, "CMAP": 9, "GDSC": 4}[fmt] * int(np.prod(dims))
+
+
+class TestBinaryPayload:
+    """Every reader fills its payload through one path: in two halves at
+    once from 1 MiB up, in one read on the calling thread below."""
+
+    @pytest.mark.parametrize("fmt, dims", PAYLOADS, ids=PAYLOAD_IDS)
+    def test_payload_bitwise(self, fmt, dims, tmp_path, monkeypatch):
+        value, write = random_container(fmt, dims, 8)
+        write(value, tmp_path / "a.bin")
+        started = count_threads(monkeypatch)
+        back = READERS[fmt][0](tmp_path / "a.bin")
+        assert len(started) == (payload_bytes(fmt, dims) >= core.SPLIT_READ_BYTES)
+        write(back, tmp_path / "b.bin")
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    @pytest.mark.parametrize("fmt, dims", PAYLOADS, ids=PAYLOAD_IDS)
+    def test_shrunk_while_read(self, fmt, dims, tmp_path, monkeypatch):
+        # the size check passes, then the read (or its second half) comes up short
+        value, write = random_container(fmt, dims, 9)
+        p = tmp_path / "a.bin"
+        write(value, p)
+        size = p.stat().st_size
+        os.truncate(p, size - 1)
+        real = core.os.fstat
+        monkeypatch.setattr(core.os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=max(real(fd).st_size, size)))
+        with pytest.raises(ParseError, match=f"truncated payload at byte {size - 1}$"):
+            READERS[fmt][0](p)
+
+
 class TestBinaryReaderRejections:
     """Malformed FMAP / GDSC / CMAP files raise ParseError at a byte offset."""
 
@@ -339,6 +377,31 @@ class TestBinaryReaderRejections:
     def test_version_2(self, fmt, tmp_path):
         n_dims = READERS[fmt][1]
         self.reject(fmt, binary_file(fmt, 2, [2] * n_dims, 64), 4, tmp_path)
+
+    @pytest.mark.parametrize("claim", ["wrong magic", "dims past the end"])
+    def test_rejected_before_payload_allocated(self, fmt, claim, tmp_path):
+        # sparse files: a 64 MiB one with a wrong magic, and a header whose
+        # dims need one byte more than the file holds
+        n_dims = READERS[fmt][1]
+        p = tmp_path / "x.bin"
+        if claim == "wrong magic":
+            p.write_bytes(b"GARB")
+            os.truncate(p, 64 << 20)
+            error = "wrong magic b'GARB' at byte 0,"
+        else:
+            dims = [1 << 20] + [1] * (n_dims - 1)
+            p.write_bytes(binary_file(fmt, 1, dims, 0))
+            size = 4 + 4 * (1 + n_dims) + payload_bytes(fmt, dims) - 1
+            os.truncate(p, size)
+            error = f"truncated payload at byte {size}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=error):
+                READERS[fmt][0](p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("bad", [0, (1 << 20) + 1])
     def test_dimension_out_of_range(self, fmt, bad, tmp_path):

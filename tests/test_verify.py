@@ -36,7 +36,7 @@ from corrverify.verify import (
     Homography,
     RansacConfig,
     VariantInputs,
-    _batch_dlt_4pt,
+    _batch_dlt,
     _count_inliers,
     _map_correspondences,
     cyclic_mask,
@@ -52,7 +52,7 @@ from corrverify.verify import (
     verify_direction,
 )
 
-from helpers import identity_map
+from helpers import count_threads, identity_map
 
 
 def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ class TestDlt:
         dst = np.stack([project(t, s) for t, s in zip(trues, src)])
         src[-1] = [[0.0, 0], [1, 1], [2, 2], [3, 3]]
         dst[-1] = [[0.0, 0], [10, 0], [10, 10], [0, 10]]
-        out = _batch_dlt_4pt(src, dst)
+        out = _batch_dlt(src, dst)
         assert np.isnan(out[-1]).all()
         for i in range(k - 1):
             single = fit_homography_dlt(src[i], dst[i]).matrix
@@ -539,7 +539,7 @@ class TestRansac:
         assert len(pts) == 12697
         rng = Lcg64(0)
         quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(1000)])
-        models = _batch_dlt_4pt(pts[quads], coords[quads])
+        models = _batch_dlt(pts[quads], coords[quads])
         tracemalloc.start()
         try:
             counts = _count_inliers(models, pts, coords, 3.0)
@@ -627,7 +627,7 @@ class TestInlierKernel:
         assert k % step
         quads = rng.integers(0, 500, (k - 5, 4))
         quads[:3] = quads[:3, :1]           # repeated points: nan rows
-        models = _batch_dlt_4pt(src[quads], dst[quads])
+        models = _batch_dlt(src[quads], dst[quads])
         models = np.concatenate([models, [np.eye(3), horizon, np.full((3, 3), np.nan),
                                           np.diag([1.0, 1.0, 0.0]), truth]])
         assert np.isnan(models[:3]).all()
@@ -717,19 +717,6 @@ class TestVerifyDirection:
         assert np.allclose(err, 5.0)
 
 
-def count_threads(monkeypatch):
-    """Record every thread the package starts."""
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(core, "threading", types.SimpleNamespace(Thread=Thread))
-    return started
-
-
 def pair_digest(s, r_ab, r_ba):
     """sha256 over S and both directions' models, inlier and consistent masks."""
     h = hashlib.sha256(np.float64(s).tobytes())
@@ -758,8 +745,8 @@ class TestSplitKernels:
         got = score_pair_s(fwd, bwd, self.CFG)
         assert threading.active_count() == before
         assert pair_digest(*got) == digest
-        # per direction: fit and probe, subgrid counts, the cyclic check
-        assert len(started) == 6
+        # per direction: fit, probe, subgrid counts, the cyclic check
+        assert len(started) == 8
         r_ab = verify_direction(fwd, bwd, self.CFG)
         r_ba = verify_direction(bwd, fwd, self.CFG)
         assert pair_digest(got[0], r_ab, r_ba) == digest
@@ -768,9 +755,9 @@ class TestSplitKernels:
     def test_dlt_halves_equal_one_batch(self, k):
         src = np.random.default_rng(k).uniform(0, 200, (k, 4, 2))
         dst = src + np.random.default_rng(k + 1).normal(0, 5, (k, 4, 2))
-        whole = _batch_dlt_4pt(src, dst)
+        whole = _batch_dlt(src, dst)
         m = k // 2
-        halves = np.concatenate([_batch_dlt_4pt(src[:m], dst[:m]), _batch_dlt_4pt(src[m:], dst[m:])])
+        halves = np.concatenate([_batch_dlt(src[:m], dst[:m]), _batch_dlt(src[m:], dst[m:])])
         assert halves.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 48, 1000])
@@ -779,7 +766,7 @@ class TestSplitKernels:
         pts, coords = _map_correspondences(fwd, 1)
         rng = Lcg64(3)
         quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
-        models = _batch_dlt_4pt(pts[quads], coords[quads])
+        models = _batch_dlt(pts[quads], coords[quads])
         want = [np.count_nonzero(verify._inlier_mask(m, pts, coords, 3.0)) for m in models]
         assert _count_inliers(models, pts, coords, 3.0).tolist() == want
 
@@ -840,7 +827,7 @@ class TestSplitKernels:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_half_error_reaches_caller(self, monkeypatch, failing):
         fwd, bwd = noisy_pair("affine", 65, 0.4)
-        real = verify._batch_dlt_4pt
+        real = verify._batch_dlt
         caller = threading.current_thread()
 
         def dlt(src, dst):
@@ -849,7 +836,7 @@ class TestSplitKernels:
             return real(src, dst)
 
         started = count_threads(monkeypatch)
-        monkeypatch.setattr(verify, "_batch_dlt_4pt", dlt)
+        monkeypatch.setattr(verify, "_batch_dlt", dlt)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="half failed"):
             score_pair_s(fwd, bwd, self.CFG)
@@ -924,7 +911,7 @@ class TestCyclicSkip:
         started = count_threads(monkeypatch)
         s, r_ab, r_ba = score_pair_s(empty, empty, self.CFG)
         assert s == 0.0 and entered == []
-        # one thread per direction, for the cyclic check's halves
-        assert len(started) == 2
+        # the cyclic check returns the empty mask without splitting its rows
+        assert started == []
         for r in (r_ab, r_ba):
             assert r.homography is None and r.num_inliers == r.num_consistent == 0
