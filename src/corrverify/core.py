@@ -40,11 +40,12 @@ def _halves(part, n: int):
     thread is joined before returning and its exception re-raised.
 
     Callers split work whose items are computed independently, so the
-    joined halves equal one serial pass bit for bit.  The halves never call
-    the package's readers and writers, resample_map, a public function of
-    pyramid or verify, or the LCG: those are entered on the calling thread
-    alone, so their calls nest as in a serial run, which a tracer that wraps
-    them relies on.
+    joined halves equal one serial pass bit for bit.  The halves run private
+    helpers only: rows of resample_map and of extract_hypercolumn (pyramid's
+    _resize_rows and _normalize_rows over row blocks), RANSAC's stages, the
+    cyclic check and the readers' payload reads.  The package's public
+    functions and the LCG are entered on the calling thread alone, so their
+    calls nest as in a serial run, which a tracer that wraps them relies on.
     """
     out = []
 
@@ -484,6 +485,8 @@ def _read_binary(path, magic: bytes, n_dims: int, cell_bytes: int):
     with open(path, "rb") as f:
         head = f.read(pos)
         size = os.fstat(f.fileno()).st_size
+    if len(head) < len(magic) and magic.startswith(head):
+        raise ParseError(f"truncated header at byte {len(head)}")
     if head[:4] != magic:
         raise ParseError(f"wrong magic {head[:4]!r} at byte 0, expected {magic!r}")
     if len(head) < pos:

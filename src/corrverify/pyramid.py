@@ -6,6 +6,9 @@ with windowed intensity mean/std, L2-normalized per pixel.
 A pyramid is a tuple of ``FeatureMap``s, coarsest first: five levels from
 1/16 of the working resolution up to the full one (15, 30, 60, 120 and 240
 cells a side at 240), each with the same 10 descriptor channels.
+A hypercolumn concatenates every level upsampled to one target grid; it is
+built in blocks of rows that stay in cache, the top and the bottom half of
+the rows at once (see ``core._halves``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .core import FeatureMap, GlobalDescriptor, Image, resize_grid, resize_image, to_grayscale
+from .core import (
+    FeatureMap,
+    GlobalDescriptor,
+    Image,
+    _halves,
+    _resize_rows,
+    resize_image,
+    to_grayscale,
+)
 
 WORKING_SIZE = 240
 NUM_LEVELS = 5
@@ -24,6 +35,9 @@ WINDOW_RADIUS = 4
 GAUSSIAN_SIGMA = 2.0
 # generalized-mean exponent of the global descriptor
 GEM_POWER = 3.0
+# the hypercolumn is built in blocks of rows whose output holds at most this
+# many bytes: 43 rows of a 480-wide, 50-channel float32 grid
+HYPERCOLUMN_BLOCK_BYTES = 4 << 20
 
 
 def level_sizes(working_size: int = WORKING_SIZE):
@@ -109,8 +123,12 @@ def _normalize_rows(arr: np.ndarray) -> None:
     """In-place per-pixel L2 normalization; zero vectors stay zero."""
     sq = np.einsum("hwc,hwc->hw", arr, arr)
     nrm = np.sqrt(sq, dtype=arr.dtype)[..., None]
-    np.divide(arr, nrm, out=arr, where=nrm > 1e-12)
-    arr[(nrm <= 1e-12)[..., 0]] = 0
+    ok = nrm > 1e-12
+    if ok.all():
+        np.divide(arr, nrm, out=arr)
+    else:
+        np.divide(arr, nrm, out=arr, where=ok)
+        arr[(nrm <= 1e-12)[..., 0]] = 0
 
 
 def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
@@ -120,6 +138,11 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     is bilinearly upsampled to the target grid and per-pixel renormalized
     before concatenation; the concatenated vector is normalized again so
     every non-degenerate pixel has unit norm.
+
+    Every pixel is computed on its own, so the grid is filled in blocks of
+    rows (HYPERCOLUMN_BLOCK_BYTES of output each) that stay in cache, and
+    the top and the bottom half of the rows are filled at once (see
+    _halves); the result equals one pass over the whole grid bit for bit.
     """
     th, tw = target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
@@ -127,13 +150,20 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
         raise ValueError("target resolution must be at least the coarsest level")
     total_c = sum(fm.channels for fm in pyramid)
     out = np.empty((th, tw, total_c), dtype=np.float32)
-    ofs = 0
-    for fm in pyramid:
-        up = resize_grid(fm.values, th, tw)
-        _normalize_rows(up)
-        out[:, :, ofs : ofs + fm.channels] = up
-        ofs += fm.channels
-    _normalize_rows(out)
+    step = max(1, HYPERCOLUMN_BLOCK_BYTES // (tw * total_c * out.itemsize))
+
+    def rows(r0, r1):
+        for b0 in range(r0, r1, step):
+            b1 = min(b0 + step, r1)
+            ofs = 0
+            for fm in pyramid:
+                up = _resize_rows(fm.values, th, tw, b0, b1)
+                _normalize_rows(up)
+                out[b0:b1, :, ofs : ofs + fm.channels] = up
+                ofs += fm.channels
+            _normalize_rows(out[b0:b1])
+
+    _halves(rows, th)
     return FeatureMap(out, unit_normalized=True)
 
 

@@ -369,6 +369,18 @@ class TestBinaryReaderRejections:
         data = binary_file(fmt, 1, [2] * n_dims, 0)[:-2]
         self.reject(fmt, data, len(data), tmp_path)
 
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3])
+    def test_truncated_inside_magic(self, fmt, keep, tmp_path):
+        # a prefix of the right magic is a short header, not a wrong magic
+        self.reject(fmt, fmt.encode()[:keep], keep, tmp_path)
+
+    @pytest.mark.parametrize("data", [b"X", b"XY", b"CX", b"FMX", b"GDSX"])
+    def test_short_wrong_magic(self, fmt, data, tmp_path):
+        p = tmp_path / "x.bin"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"wrong magic {data!r} at byte 0,"):
+            READERS[fmt][0](p)
+
     def test_truncated_payload(self, fmt, tmp_path):
         n_dims = READERS[fmt][1]
         data = binary_file(fmt, 1, [2] * n_dims, 3)

@@ -1,9 +1,14 @@
 """Descriptor pyramid, hypercolumns and global descriptors."""
 
+import hashlib
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
+from corrverify import pyramid
 from corrverify.core import FeatureMap, Image, bilinear_sample_grid, resize_image, to_grayscale
 from corrverify.pyramid import (
     GAUSSIAN_SIGMA,
@@ -16,6 +21,8 @@ from corrverify.pyramid import (
     level_sizes,
 )
 from corrverify.synth import make_texture
+
+from helpers import count_threads
 
 
 def naive_descriptor(img, py, px):
@@ -221,6 +228,111 @@ class TestHypercolumn:
         fm = self._unit_field(33, 15, 15, 4)
         with pytest.raises(ValueError):
             extract_hypercolumn((fm,), (8, 8))
+
+
+def texture_pyramid(seed):
+    return build_pyramid(make_texture(480, 480, seed=seed))
+
+
+def zero_level_pyramid(seed):
+    levels = list(texture_pyramid(seed))
+    levels[2] = FeatureMap(np.zeros_like(levels[2].values))
+    return tuple(levels)
+
+
+def constant_pyramid(value):
+    return build_pyramid(Image(np.full((64, 64), value)))
+
+
+PYRAMIDS = {"texture": texture_pyramid, "zero_level": zero_level_pyramid,
+            "constant": constant_pyramid}
+
+# sha256 of extract_hypercolumn(...).values, computed before the hypercolumn
+# was built in row blocks.  43 rows of a 480-wide grid are one block at
+# HYPERCOLUMN_BLOCK_BYTES; 86 rows give each half one block.  (240, 240)
+# equals the finest level, which _resize_rows copies.  The all-zero level
+# and the black image take the degenerate-norm path.
+HYPERCOLUMN_DIGESTS = [
+    ("texture", 141, (480, 480), "fe564b9aee4e1822cc276f14b6f6ffe199f54be05a40f583a1d662b71c24bca3"),
+    ("texture", 141, (96, 96), "4a95258414edf2268497321a084341b1ace1fb27a842eb74263f02ae26c75bc7"),
+    ("texture", 142, (480, 480), "e2c2a2a4e09177ebcdfce239e0c49eea9c498a31b9f5204cccf0fa5191b79844"),
+    ("texture", 142, (96, 96), "406d06d26650b764887816a5545a7f0c092e609bab6c3580857ba6881a03c3e9"),
+    ("texture", 141, (97, 131), "c244dc9eba3cf58a1cc050c5e449a0e17326eb3102e9492aa62f06e9c1940e36"),
+    ("texture", 141, (240, 240), "2996afea41095763cff2c308301c211cb8e70cf2a243dd561539c9d4e94a4cca"),
+    ("texture", 141, (42, 480), "54aaed59a043e90991ce4337487dad2439ecfb04ef526767dbc30b3487ad3c34"),
+    ("texture", 141, (43, 480), "669deea4373880216e34d20ddfc7c47e5c4e758343b31a46e96ec2cc319911e9"),
+    ("texture", 141, (44, 480), "a3ec872164ac02eef57fded68f33c217cf008266ba01484827059a6b1349df50"),
+    ("texture", 141, (85, 480), "c1ced8ebff34d5c89a484d5c8e6f67ed11403586e286ac562a641aac6a95048e"),
+    ("texture", 141, (86, 480), "3b19e86afdd29bef4531f754ceb2d1f8af0f5dcace105d616ee8f57a73af3b02"),
+    ("texture", 141, (87, 480), "8cc3b68a2c482b520d5811bc87e930caa3341adc17e0f4e99e2d5bb3e8d0249f"),
+    ("zero_level", 141, (480, 480), "621bb00e1bcb720377cdee59b64839af3fc80f59fa9f11ab766913e93399fbcf"),
+    ("constant", 0.0, (480, 480), "6f4dd7db11c1a99aae413783048d9ecad6fce43c3bcfc36ab7031953d073242e"),
+    ("constant", 0.5, (480, 480), "b82a97d4955910cf1650846c3e5def6e56e02211e44cc4a6b1798c829b8de49b"),
+]
+
+
+def hypercolumn_digest(pyr, target_hw):
+    values = extract_hypercolumn(pyr, target_hw).values
+    assert values.shape[:2] == target_hw and values.dtype == np.float32
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+class TestHypercolumnBlocks:
+    """The hypercolumn is filled in row blocks, two halves at once; it must
+    equal the single whole-grid pass it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kind, arg, target_hw, digest", HYPERCOLUMN_DIGESTS)
+    def test_pinned(self, kind, arg, target_hw, digest):
+        assert hypercolumn_digest(PYRAMIDS[kind](arg), target_hw) == digest
+
+    def test_pinned_heights_straddle_block_edges(self):
+        row = 480 * 50 * 4
+        assert pyramid.HYPERCOLUMN_BLOCK_BYTES // row == 43
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, 32, 480])
+    def test_any_block_size(self, monkeypatch, rows):
+        monkeypatch.setattr(pyramid, "HYPERCOLUMN_BLOCK_BYTES", rows * 480 * 50 * 4)
+        kind, arg, target_hw, digest = HYPERCOLUMN_DIGESTS[0]
+        assert hypercolumn_digest(PYRAMIDS[kind](arg), target_hw) == digest
+
+    def test_peak_memory(self):
+        pyr = texture_pyramid(141)
+        tracemalloc.start()
+        try:
+            hyper = extract_hypercolumn(pyr, (480, 480))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hyper.values.nbytes == 480 * 480 * 50 * 4
+        # the output is 43.9 MiB; a whole-grid pass peaked at 83.5 MiB
+        assert peak < 60 << 20
+
+    def test_one_thread_started_and_joined(self, monkeypatch):
+        pyr = texture_pyramid(141)
+        started = count_threads(monkeypatch)
+        before = threading.active_count()
+        extract_hypercolumn(pyr, (97, 131))
+        assert threading.active_count() == before
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_half_error_reaches_caller(self, monkeypatch, failing):
+        pyr = texture_pyramid(141)
+        real = pyramid._resize_rows
+        caller = threading.current_thread()
+
+        def resize_rows(*args):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError("half failed")
+            return real(*args)
+
+        started = count_threads(monkeypatch)
+        monkeypatch.setattr(pyramid, "_resize_rows", resize_rows)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="half failed"):
+            extract_hypercolumn(pyr, (480, 480))
+        assert threading.active_count() == before
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestGlobalDescriptor:

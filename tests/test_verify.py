@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrverify import core, verify
+from corrverify import core, pyramid, verify
 from corrverify.core import (
     CorrespondenceMap,
     FeatureMap,
@@ -780,8 +780,9 @@ class TestSplitKernels:
         assert np.array_equal(cyclic_mask(fwd, bwd).bits, want)
 
     def test_layer_functions_stay_on_calling_thread(self, monkeypatch):
-        # the threads run array kernels only: verify's public functions and
-        # the LCG's draws are entered on the caller's thread, so they nest
+        # the threads run array kernels only: the public functions of verify
+        # and pyramid, core's resizers and the LCG's draws are entered on the
+        # caller's thread, so they nest
         calls = []
 
         def wrap(name, fn):
@@ -790,17 +791,26 @@ class TestSplitKernels:
                 return fn(*args, **kwargs)
             return traced
 
-        for name, fn in list(vars(verify).items()):
-            if isinstance(fn, types.FunctionType) and not name.startswith("_") \
-                    and fn.__module__ == verify.__name__:
-                monkeypatch.setattr(verify, name, wrap(name, fn))
+        for module in (verify, pyramid):
+            for name, fn in list(vars(module).items()):
+                if isinstance(fn, types.FunctionType) and not name.startswith("_") \
+                        and fn.__module__ == module.__name__:
+                    monkeypatch.setattr(module, name, wrap(name, fn))
+        for name in ("resize_grid", "resample_map"):
+            monkeypatch.setattr(core, name, wrap(name, getattr(core, name)))
         for name in ("below", "sample_distinct"):
             monkeypatch.setattr(Lcg64, name, wrap(name, getattr(Lcg64, name)))
         fwd, bwd = noisy_pair("tps", 62, 0.4, size=128)
         verify.score_pair_s(fwd, bwd, self.CFG)
+        core.resample_map(fwd, 256, 256)
+        pyr = pyramid.build_pyramid(make_texture(128, 128, 62))
+        pyramid.extract_hypercolumn(pyr, (480, 480))
+        pyramid.compute_global_descriptor(pyr)
         names = {name for name, _ in calls}
         assert {"score_pair_s", "verify_direction", "ransac_homography", "fit_homography_dlt",
-                "cyclic_mask", "sample_distinct", "below"} <= names
+                "cyclic_mask", "sample_distinct", "below", "resample_map", "resize_grid",
+                "build_pyramid", "level_sizes", "dense_descriptors", "extract_hypercolumn",
+                "compute_global_descriptor"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
     def test_callers_on_four_threads_agree(self):
