@@ -292,8 +292,19 @@ class TestHypercolumnBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 16, 32, 480])
     def test_any_block_size(self, monkeypatch, rows):
         monkeypatch.setattr(pyramid, "HYPERCOLUMN_BLOCK_BYTES", rows * 480 * 50 * 4)
+        real = pyramid._resize_rows
+        blocks = []
+
+        def resize_rows(v, new_h, new_w, r0, r1):
+            blocks.append((r0, r1))
+            return real(v, new_h, new_w, r0, r1)
+
+        monkeypatch.setattr(pyramid, "_resize_rows", resize_rows)
         kind, arg, target_hw, digest = HYPERCOLUMN_DIGESTS[0]
         assert hypercolumn_digest(PYRAMIDS[kind](arg), target_hw) == digest
+        # each half of 240 rows in blocks of at most `rows`, once per level
+        assert len(blocks) == 5 * 2 * -(-240 // rows)
+        assert max(r1 - r0 for r0, r1 in blocks) == min(rows, 240)
 
     def test_peak_memory(self):
         pyr = texture_pyramid(141)
