@@ -179,14 +179,14 @@ class CorrespondenceMap:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Dense descriptor grid, (H, W, C) float32.
+    """Dense descriptor grid, (H, W, C) float32, finite and read-only.
 
-    When ``unit_normalized`` each per-pixel channel vector has L2 norm 1
-    within 1e-5, except texture-free pixels which stay exactly zero.
+    A C-contiguous float32 input is kept (``values is a``) and made
+    read-only, so a hypercolumn or an FMAP payload is never copied; any
+    other input is copied, as every other value type copies its input.
     """
 
     values: np.ndarray
-    unit_normalized: bool = False
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float32)
@@ -194,11 +194,6 @@ class FeatureMap:
             raise ValueError(f"feature map must be (H, W, C), got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("feature map contains non-finite values")
-        if self.unit_normalized:
-            sq = np.einsum("hwc,hwc->hw", v, v)
-            bad = (sq > 1e-14) & (np.abs(sq - 1.0) > 2.5e-5)
-            if bad.any():
-                raise ValueError("feature map flagged unit-normalized has off-norm pixels")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -296,8 +291,10 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
     """Separable bilinear resampling of a (H, W) or (H, W, C) grid onto the
     half-pixel tensor grid, rows first, in the grid's own dtype.
 
-    Always returns a new array.
+    Always returns a new array.  Target dimensions below 1 raise ValueError.
     """
+    if new_h < 1 or new_w < 1:
+        raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
     return _resize_rows(np.ascontiguousarray(values), new_h, new_w, 0, new_h)
 
 
@@ -371,8 +368,11 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
     Pixels whose interpolation touches any invalid prior pixel are invalid,
     so a map with no valid pixel gives all-invalid, zero coordinates, which
     are returned without resampling.  The top and the bottom half of the new
-    rows are resampled at once (see _halves).
+    rows are resampled at once (see _halves).  Target dimensions below 1
+    raise ValueError.
     """
+    if new_h < 1 or new_w < 1:
+        raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
     h, w = cmap.height, cmap.width
     if (new_h, new_w) == (h, w):
         return cmap

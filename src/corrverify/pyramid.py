@@ -66,7 +66,8 @@ def dense_descriptors(gray: np.ndarray) -> FeatureMap:
     gradient votes its magnitude into the two nearest orientation bins
     (linear soft assignment over [0, 2pi)); votes are accumulated under a
     truncated Gaussian window, followed by the window's intensity mean and
-    standard deviation.
+    standard deviation.  Each pixel's descriptor has L2 norm 1 within
+    1e-5, or is zero where the window holds no signal.
     """
     img = np.asarray(gray, dtype=np.float64)
     if img.ndim != 2:
@@ -101,7 +102,7 @@ def dense_descriptors(gray: np.ndarray) -> FeatureMap:
     desc = np.concatenate([sums[..., :nb], m1[..., None], sd[..., None]], axis=2)
     norms = np.linalg.norm(desc, axis=2, keepdims=True)
     out = np.divide(desc, norms, out=np.zeros_like(desc), where=norms > 1e-12)
-    return FeatureMap(out.astype(np.float32), unit_normalized=True)
+    return FeatureMap(out.astype(np.float32))
 
 
 def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> tuple:
@@ -138,13 +139,16 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     ``pyramid`` is a tuple of ``FeatureMap``s, coarsest first.  Each level
     is bilinearly upsampled to the target grid and per-pixel renormalized
     before concatenation; the concatenated vector is normalized again so
-    every non-degenerate pixel has unit norm.
+    every pixel has L2 norm 1 within 1e-5, or is exactly zero where every
+    upsampled level is zero.
 
     Every pixel is computed on its own, so the grid is filled in blocks of
     rows (HYPERCOLUMN_BLOCK_BYTES of output each) that stay in cache, and
     the top and the bottom half of the rows are filled at once (see
     _halves); the result equals one pass over the whole grid bit for bit.
     """
+    if not pyramid:
+        raise ValueError("empty pyramid")
     th, tw = target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
     if th < ch or tw < cw:
@@ -165,7 +169,7 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
             _normalize_rows(out[b0:b1])
 
     _halves(rows, th)
-    return FeatureMap(out, unit_normalized=True)
+    return FeatureMap(out)
 
 
 def compute_global_descriptor(pyramid: tuple) -> GlobalDescriptor:
@@ -174,6 +178,8 @@ def compute_global_descriptor(pyramid: tuple) -> GlobalDescriptor:
 
     All-zero feature maps fall back to the all-equal-components unit vector.
     """
+    if not pyramid:
+        raise ValueError("empty pyramid")
     v = pyramid[0].values.astype(np.float64)
     m = np.mean(np.sign(v) * np.abs(v) ** GEM_POWER, axis=(0, 1))
     pooled = np.sign(m) * np.abs(m) ** (1.0 / GEM_POWER)

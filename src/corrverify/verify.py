@@ -437,6 +437,8 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     o_ab and mask live on hyper_b's grid with coordinates scaled to
     hyper_a's frame; sampled descriptors are renormalized after
     interpolation.  Pixels whose sample is invalid contribute 0.
+    hyper_b is used as it is: its pixels must have unit or zero norm, as
+    extract_hypercolumn's do; neither this function nor read_fmap checks.
 
     The masked pixels are visited in row-major order, in blocks whose
     (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  Each

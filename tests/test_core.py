@@ -35,6 +35,7 @@ from corrverify.core import (
     write_fmap,
     write_gdsc,
 )
+from corrverify.verify import Homography
 
 from helpers import count_threads, identity_map
 
@@ -423,6 +424,48 @@ class TestBinaryReaderRejections:
         self.reject(fmt, binary_file(fmt, 1, dims, 64), 8 + 4 * (n_dims - 1), tmp_path)
 
 
+class TestNonFinitePayload:
+    """Well-formed files whose payload holds nan or inf: the value types
+    the readers build reject them, except at a CMAP's invalid pixels,
+    whose coordinates are stored as 0."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fmap(self, bad, tmp_path):
+        v = np.ones((2, 3, 4), dtype="<f4")
+        v[1, 2, 3] = bad
+        p = tmp_path / "x.fmap"
+        p.write_bytes(binary_file("FMAP", 1, v.shape, v.tobytes()))
+        with pytest.raises(ValueError, match="non-finite"):
+            read_fmap(p)
+
+    def cmap_with_nan(self, tmp_path, valid_there):
+        coords = np.ones((2, 3, 2), dtype="<f4")
+        coords[1, 2] = np.nan
+        valid = np.ones((2, 3), dtype=np.uint8)
+        valid[1, 2] = valid_there
+        p = tmp_path / "x.cmap"
+        p.write_bytes(binary_file("CMAP", 1, (2, 3), coords.tobytes() + valid.tobytes()))
+        return p
+
+    def test_cmap_nan_at_valid_pixel(self, tmp_path):
+        with pytest.raises(ValueError, match="finite wherever valid"):
+            read_cmap(self.cmap_with_nan(tmp_path, 1))
+
+    def test_cmap_nan_at_invalid_pixel_reads_as_zero(self, tmp_path):
+        m = read_cmap(self.cmap_with_nan(tmp_path, 0))
+        assert m.valid.sum() == 5 and not m.valid[1, 2]
+        assert m.coords[1, 2].tolist() == [0.0, 0.0]
+        assert (m.coords[m.valid] == 1.0).all()
+
+    def test_gdsc(self, tmp_path):
+        v = np.full(4, 0.5, dtype="<f4")
+        v[2] = np.nan
+        p = tmp_path / "x.gdsc"
+        p.write_bytes(binary_file("GDSC", 1, (4,), v.tobytes()))
+        with pytest.raises(ValueError, match="norm nan"):
+            read_gdsc(p)
+
+
 def naive_resize(px, new_h, new_w):
     """Brute-force per-pixel half-pixel bilinear resampler."""
     h, w = px.shape
@@ -459,6 +502,11 @@ class TestResize:
         img = Image(np.zeros((16, 16)))
         with pytest.raises(ValueError):
             resize_image(img, 7, 16)
+
+    def test_zero_grid_target_rejected(self):
+        # the half-pixel mapping divides by each target dimension
+        with pytest.raises(ValueError, match=">= 1, got 0x3"):
+            resize_grid(np.zeros((4, 5)), 0, 3)
 
 
 class TestSharedSamplingKernels:
@@ -621,6 +669,11 @@ class TestResampleMap:
         cmap = identity_map(7, 9)
         assert resample_map(cmap, 7, 9) is cmap
 
+    @pytest.mark.parametrize("new_h, new_w", [(0, 0), (-1, 4)])
+    def test_target_below_one_rejected(self, new_h, new_w):
+        with pytest.raises(ValueError, match=f">= 1, got {new_h}x{new_w}"):
+            resample_map(identity_map(7, 9), new_h, new_w)
+
     @pytest.mark.parametrize("new_h, new_w", [(1, 5), (13, 7), (480, 480)])
     def test_all_invalid_map_skips_resampling(self, monkeypatch, new_h, new_w):
         cmap = CorrespondenceMap(np.ones((11, 9, 2)), np.zeros((11, 9), dtype=bool))
@@ -678,3 +731,45 @@ class TestMask:
     def test_count(self):
         m = Mask(np.eye(5, dtype=bool))
         assert m.count() == 5
+
+
+# (constructor, its array arguments, the fields that store them); FeatureMap
+# copies a float64 input and a non-contiguous float32 one
+VALUE_TYPES = {
+    "Image": (Image, lambda r: (r.random((4, 5)),), ["pixels"]),
+    "Mask": (Mask, lambda r: (r.random((4, 5)) < 0.5,), ["bits"]),
+    "CorrespondenceMap": (CorrespondenceMap,
+                          lambda r: (r.random((4, 5, 2)) * 3, np.ones((4, 5), bool)),
+                          ["coords", "valid"]),
+    "FeatureMap-float64": (FeatureMap, lambda r: (r.standard_normal((4, 5, 3)),), ["values"]),
+    "FeatureMap-strided": (FeatureMap,
+                           lambda r: (r.standard_normal((4, 10, 3), dtype=np.float32)[:, ::2],),
+                           ["values"]),
+    "GlobalDescriptor": (GlobalDescriptor, lambda r: (np.full(4, 0.5),), ["values"]),
+    "Homography": (Homography, lambda r: (np.eye(3) + 0.1 * r.random((3, 3)),), ["matrix"]),
+}
+
+
+class TestValueOwnership:
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_read_only_and_detached_from_input(self, name):
+        cls, make, fields = VALUE_TYPES[name]
+        args = make(np.random.default_rng(60))
+        value = cls(*args)
+        kept = [getattr(value, f).copy() for f in fields]
+        for f in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(value, f)[...] = 0
+        for a in args:
+            a.fill(0)
+        for f, want in zip(fields, kept):
+            assert getattr(value, f).any() and np.array_equal(getattr(value, f), want)
+
+    def test_feature_map_keeps_c_contiguous_float32(self):
+        # the one exception: no copy of a hypercolumn or an FMAP payload,
+        # but the caller's array becomes read-only
+        a = np.random.default_rng(61).standard_normal((4, 5, 3), dtype=np.float32)
+        fm = FeatureMap(a)
+        assert fm.values is a and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 1.0

@@ -188,7 +188,7 @@ class TestHypercolumn:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((h, w, c))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
-        return FeatureMap(v.astype(np.float32), unit_normalized=True)
+        return FeatureMap(v.astype(np.float32))
 
     def test_identical_levels_scale_halves(self):
         fm = self._unit_field(30, 12, 12, 6)
@@ -228,6 +228,10 @@ class TestHypercolumn:
         fm = self._unit_field(33, 15, 15, 4)
         with pytest.raises(ValueError):
             extract_hypercolumn((fm,), (8, 8))
+
+    def test_empty_pyramid_rejected(self):
+        with pytest.raises(ValueError, match="empty pyramid"):
+            extract_hypercolumn(())
 
 
 def texture_pyramid(seed):
@@ -379,3 +383,7 @@ class TestGlobalDescriptor:
         z = FeatureMap(np.zeros((15, 15, 4), dtype=np.float32))
         g = compute_global_descriptor((z,))
         assert np.allclose(g.values, 0.5)
+
+    def test_empty_pyramid_rejected(self):
+        with pytest.raises(ValueError, match="empty pyramid"):
+            compute_global_descriptor(())

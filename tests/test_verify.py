@@ -260,7 +260,7 @@ def unit_field(seed, h, w, c):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((h, w, c))
     v /= np.linalg.norm(v, axis=2, keepdims=True)
-    return FeatureMap(v.astype(np.float32), unit_normalized=True)
+    return FeatureMap(v.astype(np.float32))
 
 
 class TestScoreSL:
@@ -276,7 +276,7 @@ class TestScoreSL:
         a[..., 0] = 1.0
         b = np.zeros((8, 8, 4), dtype=np.float32)
         b[..., 1] = 1.0
-        got = score_s_l(FeatureMap(a, True), FeatureMap(b, True),
+        got = score_s_l(FeatureMap(a), FeatureMap(b),
                         identity_map(8, 8), Mask(np.ones((8, 8), bool)))
         assert got == pytest.approx(0.0, abs=1e-6)
 
@@ -343,7 +343,7 @@ class TestScoreSL:
         cmap = CorrespondenceMap(coords, np.ones((h, w), bool))
         sampled, ok = verify.bilinear_sample_grid(fa, flat[:, 0], flat[:, 1])
         assert not ok[5] and ok[2 * self.B + 3] and not sampled[2 * self.B + 3].any()
-        return FeatureMap(fa, unit_normalized=True), fb, cmap
+        return FeatureMap(fa), fb, cmap
 
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_blocks_bitwise_equal_unchunked(self, blocks, extra):
