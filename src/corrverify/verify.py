@@ -278,7 +278,13 @@ MAX_ITERATIONS = 1 << 16
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Seeded homography RANSAC on a dense map."""
+    """Seeded homography RANSAC on a dense map.
+
+    iterations lies in [1, MAX_ITERATIONS], inlier_threshold (symmetric
+    transfer distance, pixels) is finite and positive, min_inliers is >= 0
+    and seed is any integer.  A model needs max(4, min_inliers) inliers on
+    the sampling subgrid: at least 4, whatever min_inliers is.
+    """
 
     iterations: int = 1000
     inlier_threshold: float = 3.0
@@ -288,8 +294,8 @@ class RansacConfig:
     def __post_init__(self):
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not 0 < self.inlier_threshold < math.inf:
+            raise ValueError("inlier_threshold must be finite and positive")
         if self.min_inliers < 0:
             raise ValueError("min_inliers must be >= 0")
 
@@ -341,7 +347,7 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     counts = np.concatenate(_halves(
         lambda lo, hi: _count_inliers(models[lo:hi], pts, coords, t), len(models)))
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
-    if counts[best_j] < config.min_inliers:
+    if counts[best_j] < max(4, config.min_inliers):
         return None, empty
 
     best = models[best_j]
@@ -528,56 +534,3 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
     s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent,
                    beta_for_working_size(o_ba.height, o_ba.width))
     return max(s_ab, s_ba), r_ab, r_ba
-
-
-# ---------------------------------------------------------------------------
-# ablation scoring variants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariantInputs:
-    num_inliers: int
-    num_consistent: int
-    s: float
-    s_l: float
-    g: float
-    beta: float
-
-
-_R_VARIANTS = {
-    "S_L_only": lambda v: v.s_l,
-    "S_L_times_S": lambda v: v.s_l * v.s,
-    "log_S_L_S": lambda v: math.log10(v.s_l * v.s) if v.s_l * v.s > 0 else float("-inf"),
-}
-
-_Q_VARIANTS = {
-    "Q_5_over_G": lambda v: 5.0 / v.g if v.g > 0 else float("inf"),
-    "Q_pow10": lambda v: 10.0 ** (-v.g),
-}
-
-_SCALAR_VARIANTS = {
-    "I": lambda v: float(v.num_inliers),
-    "C": lambda v: float(v.num_consistent),
-    "C_over_I": lambda v: v.num_consistent / v.num_inliers if v.num_inliers else 0.0,
-    "S": lambda v: score_s(v.num_inliers, v.num_consistent, v.beta),
-}
-
-
-def score_variant(name: str, inputs: VariantInputs) -> float:
-    """Appendix scoring variants; R and Q factors compose as "R*Q"."""
-    if "*" in name:
-        r_name, q_name = name.split("*", 1)
-        if r_name not in _R_VARIANTS or q_name not in _Q_VARIANTS:
-            raise ValueError(f"unknown variant combination {name!r}")
-        r = _R_VARIANTS[r_name](inputs)
-        q = _Q_VARIANTS[q_name](inputs)
-        if math.isinf(r) and r < 0:
-            return float("-inf")
-        return r * q
-    if name in _SCALAR_VARIANTS:
-        return _SCALAR_VARIANTS[name](inputs)
-    if name in _R_VARIANTS:
-        return _R_VARIANTS[name](inputs)
-    if name in _Q_VARIANTS:
-        return _Q_VARIANTS[name](inputs)
-    raise ValueError(f"unknown scoring variant {name!r}")

@@ -35,7 +35,6 @@ from corrverify.verify import (
     DegenerateModelError,
     Homography,
     RansacConfig,
-    VariantInputs,
     _batch_dlt,
     _count_inliers,
     _map_correspondences,
@@ -48,7 +47,6 @@ from corrverify.verify import (
     score_s,
     score_s_f,
     score_s_l,
-    score_variant,
     verify_direction,
 )
 
@@ -116,6 +114,18 @@ class TestDlt:
     def test_collinear_sources_degenerate(self):
         src = np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]])
         dst = np.array([[0.0, 0], [10, 0], [10, 10], [0, 10]])
+        with pytest.raises(DegenerateModelError):
+            fit_homography_dlt(src, dst)
+
+    @pytest.mark.parametrize("collinear", ["sources", "targets"])
+    def test_large_collinear_system_degenerate(self, collinear):
+        # the refit solves systems of thousands of points; 64 collinear
+        # points leave its model as ambiguous as 4 do
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 200, 64)
+        line = np.stack([x, 0.5 * x + 3], axis=1)
+        spread = rng.uniform(0, 200, (64, 2))
+        src, dst = (line, spread) if collinear == "sources" else (spread, line)
         with pytest.raises(DegenerateModelError):
             fit_homography_dlt(src, dst)
 
@@ -412,33 +422,6 @@ def bruteforce_s_l(hyper_a, hyper_b, o_ab, mask):
     return total
 
 
-class TestVariants:
-    def setup_method(self):
-        self.inputs = VariantInputs(
-            num_inliers=1000, num_consistent=500, s=0.1, s_l=100.0, g=2.0,
-            beta=57600.0)
-
-    def test_scalar_variants(self):
-        assert score_variant("C", self.inputs) == 500.0
-        assert score_variant("I", self.inputs) == 1000.0
-        assert score_variant("C_over_I", self.inputs) == 0.5
-        assert score_variant("S", self.inputs) == score_s(1000, 500, 57600.0)
-
-    def test_composite_hand_evaluated(self):
-        # R = log10(S_L * S) = log10(10) = 1; Q = 5/G = 2.5
-        assert score_variant("log_S_L_S*Q_5_over_G", self.inputs) == pytest.approx(2.5)
-
-    def test_q_and_r_alone(self):
-        assert score_variant("Q_pow10", self.inputs) == pytest.approx(10 ** -2.0)
-        assert score_variant("S_L_times_S", self.inputs) == pytest.approx(10.0)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            score_variant("bogus", self.inputs)
-        with pytest.raises(ValueError):
-            score_variant("log_S_L_S*bogus", self.inputs)
-
-
 class TestCyclicMask:
     def test_identity_maps_all_set(self):
         ident = identity_map(32, 32)
@@ -559,10 +542,37 @@ class TestRansac:
         model, inliers = ransac_homography(cmap, RansacConfig(seed=6))
         assert model is None and inliers.count() == 0
 
+    @staticmethod
+    def one_row_map():
+        """40x40 identity map valid on one subgrid row only: every 4-point
+        draw is collinear, so every hypothesis is nan and counts 0."""
+        valid = np.zeros((40, 40), dtype=bool)
+        valid[10] = True
+        cmap = CorrespondenceMap(identity_map(40, 40).coords, valid)
+        assert len(_map_correspondences(cmap, verify.SAMPLE_STRIDE)[0]) == 20
+        return cmap
+
+    @pytest.mark.parametrize("min_inliers", [0, 1, 2, 3])
+    def test_below_four_inliers_no_model(self, min_inliers):
+        cfg = RansacConfig(iterations=50, min_inliers=min_inliers)
+        model, inliers = ransac_homography(self.one_row_map(), cfg)
+        assert model is None
+        assert inliers.bits.shape == (40, 40) and not inliers.bits.any()
+
+    def test_below_four_inliers_pair_scores_zero(self, monkeypatch):
+        cmap = self.one_row_map()
+        entered = count_ransac(monkeypatch)
+        s, r_ab, r_ba = score_pair_s(cmap, cmap, RansacConfig(iterations=50, min_inliers=0))
+        # the 40 cyclically consistent pixels do not trigger the skip
+        assert len(entered) == 2 and s == 0.0
+        for r in (r_ab, r_ba):
+            assert r.homography is None and r.num_inliers == r.num_consistent == 0
+
 
 class TestRansacConfig:
     @pytest.mark.parametrize("field, value", [
-        ("iterations", 0), ("inlier_threshold", 0.0), ("min_inliers", -1)])
+        ("iterations", 0), ("inlier_threshold", 0.0), ("inlier_threshold", math.nan),
+        ("inlier_threshold", math.inf), ("min_inliers", -1)])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             RansacConfig(**{field: value})
