@@ -41,9 +41,9 @@ def _halves(part, n: int):
 
     Callers split work whose items are computed independently, so the
     joined halves equal one serial pass bit for bit.  The halves run private
-    helpers only: rows of resample_map and of extract_hypercolumn (pyramid's
-    _resize_rows and _normalize_rows over row blocks), RANSAC's stages, the
-    cyclic check and the readers' payload reads.  The package's public
+    helpers only, at three call sites: rows of resample_map, rows of
+    extract_hypercolumn (pyramid's _resize_rows and _normalize_rows over row
+    blocks) and _read_binary's payload reads.  The package's public
     functions and the LCG are entered on the calling thread alone, so their
     calls nest as in a serial run, which a tracer that wraps them relies on.
     """
@@ -192,7 +192,9 @@ class FeatureMap:
         v = np.ascontiguousarray(self.values, dtype=np.float32)
         if v.ndim != 3:
             raise ValueError(f"feature map must be (H, W, C), got {v.shape}")
-        if not np.isfinite(v).all():
+        # min and max propagate nan and report +-inf, without the boolean
+        # temporary of isfinite (11 MiB for a 480^2 x 50 hypercolumn)
+        if v.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
             raise ValueError("feature map contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

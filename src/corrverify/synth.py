@@ -45,7 +45,12 @@ class WarpGenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class WarpSpec:
-    """A parametric warp of a fixed frame, plus its provenance."""
+    """A parametric warp of a fixed frame, plus its provenance.
+
+    Every entry of params must be finite (a manifest read back from JSON can
+    carry NaN); a singular matrix is kept, and the invertibility probe
+    rejects it.
+    """
 
     kind: str
     params: dict
@@ -57,6 +62,9 @@ class WarpSpec:
     def __post_init__(self):
         if self.kind not in WARP_KINDS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
+        for name, value in self.params.items():
+            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                raise ValueError(f"warp param {name!r} must be finite")
         if self.kind != "tps":
             # projective warps hold a 3x3 matrix; an affine 2x3 one is lifted
             m = np.asarray(self.params["matrix"], dtype=np.float64)

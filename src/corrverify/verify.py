@@ -17,16 +17,13 @@ AND I, so |C| <= k, the cyclic mask's count, and S <= exp(-beta/k); when
 whatever RANSAC finds, and the direction skips RANSAC and reports no model
 and empty I and C.  S and S_F are bitwise those of a full run.
 
-RANSAC runs three stages, each in two halves at once (``core._halves``):
-fit every hypothesis, prescreen them on probe pixels (large subgrids only),
-count the kept ones on the subgrid.  The cyclic check visits its rows in two
-halves too.  Every hypothesis and every pixel is computed on its own and the
-halves are joined in order, so no result depends on the split.
+``verify`` runs on the calling thread: it starts no thread of its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +34,6 @@ from .core import (
     FeatureMap,
     GlobalDescriptor,
     Mask,
-    _halves,
     bilinear_sample_grid,
     sample_map,
 )
@@ -280,10 +276,11 @@ MAX_ITERATIONS = 1 << 16
 class RansacConfig:
     """Seeded homography RANSAC on a dense map.
 
-    iterations lies in [1, MAX_ITERATIONS], inlier_threshold (symmetric
-    transfer distance, pixels) is finite and positive, min_inliers is >= 0
-    and seed is any integer.  A model needs max(4, min_inliers) inliers on
-    the sampling subgrid: at least 4, whatever min_inliers is.
+    iterations, min_inliers and seed are integers (numbers.Integral, not
+    bool): iterations lies in [1, MAX_ITERATIONS], min_inliers is >= 0 and
+    seed is any integer.  inlier_threshold (symmetric transfer distance,
+    pixels) is finite and positive.  A model needs max(4, min_inliers)
+    inliers on the sampling subgrid: at least 4, whatever min_inliers is.
     """
 
     iterations: int = 1000
@@ -292,6 +289,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "min_inliers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
         if not 0 < self.inlier_threshold < math.inf:
@@ -316,9 +317,9 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     is driven by a portable 64-bit LCG so results are bit-stable for a given
     seed.  The best hypothesis (by subgrid inlier count, ties to the earlier
     iteration) is refit with DLT on its inliers; the reported mask holds the
-    refit model's inliers over all valid pixels.  The draws come first, on
-    the calling thread; then three stages each run in two halves at once
-    (see the module docstring).
+    refit model's inliers over all valid pixels.  Every hypothesis is fitted
+    in one DLT batch, then prescreened on probe pixels (large subgrids only)
+    and counted on the subgrid.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -333,19 +334,15 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     t = config.inlier_threshold
 
     # RANSAC models map target grid -> source coords
-    models = np.concatenate(_halves(
-        lambda lo, hi: _batch_dlt(pts[quads[lo:hi]], coords[quads[lo:hi]]), len(quads)))
+    models = _batch_dlt(pts[quads], coords[quads])
     if n > 2 * PRESCREEN_TARGET:
         step = int(np.ceil(n / PRESCREEN_TARGET))
-        probe_counts = np.concatenate(_halves(
-            lambda lo, hi: _count_inliers(models[lo:hi], pts[::step], coords[::step], t),
-            len(models)))
+        probe_counts = _count_inliers(models, pts[::step], coords[::step], t)
         # stable sort keeps earlier iterations first among equal counts;
         # re-sorting the kept set preserves the ties-to-earliest rule below
         order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
         models = models[np.sort(order)]
-    counts = np.concatenate(_halves(
-        lambda lo, hi: _count_inliers(models[lo:hi], pts, coords, t), len(models)))
+    counts = _count_inliers(models, pts, coords, t)
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
     if counts[best_j] < max(4, config.min_inliers):
         return None, empty
@@ -374,20 +371,15 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
     Pixel p is set iff o_ab[p] is valid, o_ba can be sampled at o_ab[p]
     (in bounds, all contributing pixels valid), and the composed coordinate
     lies within epsilon of p.  A map with no valid pixel gives the empty
-    mask straight away; otherwise the top and the bottom half of the rows
-    are checked at once (see _halves).
+    mask straight away; otherwise every row is checked in one pass.
     """
     if not o_ab.valid.any():
         return Mask(o_ab.valid)
-    h, w = o_ab.height, o_ab.width
-
-    def home(r0, r1):
-        """Rows r0:r1 whose composed coordinate returns within epsilon."""
-        back, ok = sample_map(o_ba, o_ab.coords[r0:r1, :, 0], o_ab.coords[r0:r1, :, 1])
-        gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(r0, r1, dtype=np.float64))
-        return ok & (np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= epsilon)
-
-    return Mask(o_ab.valid & np.concatenate(_halves(home, h)))
+    back, ok = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])
+    gx, gy = np.meshgrid(np.arange(o_ab.width, dtype=np.float64),
+                         np.arange(o_ab.height, dtype=np.float64))
+    home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= epsilon
+    return Mask(o_ab.valid & ok & home)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +516,7 @@ def score_pair_s(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
     from its own map's grid, as verify_direction's skip does: a direction
     whose cyclic count cannot give S > 0 runs no RANSAC and reports no model
     and empty I and C, and its S is 0 either way.  The directions run one
-    after the other; within each, RANSAC and the cyclic check split their
-    own work in halves (see the module docstring).
+    after the other, on the calling thread.
     """
     r_ab = verify_direction(o_ab, o_ba, ransac)
     r_ba = verify_direction(o_ba, o_ab, ransac)

@@ -248,6 +248,31 @@ class TestFmapGdscIO:
         with pytest.raises(ParseError):
             read_fmap(p)
 
+    # a 480^2 x 50 hypercolumn: 46 MB, whose isfinite mask alone is 11 MiB
+    HYPERCOLUMN = (480, 480, 50)
+
+    def test_feature_map_check_allocates_nothing(self):
+        v = np.full(self.HYPERCOLUMN, 0.5, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            fm = FeatureMap(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.values is v and peak < 1 << 20
+
+    def test_read_fmap_peak_is_payload(self, tmp_path):
+        p = tmp_path / "h.fmap"
+        write_fmap(FeatureMap(np.full(self.HYPERCOLUMN, 0.5, dtype=np.float32)), p)
+        tracemalloc.start()
+        try:
+            fm = read_fmap(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.values.shape == self.HYPERCOLUMN
+        assert peak < fm.values.nbytes + (1 << 20)
+
 
 class TestWriterBytes:
     """Each writer's file is a hand-assembled header plus the payload."""
@@ -429,10 +454,10 @@ class TestNonFinitePayload:
     the readers build reject them, except at a CMAP's invalid pixels,
     whose coordinates are stored as 0."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [np.inf, -np.inf]])
     def test_fmap(self, bad, tmp_path):
         v = np.ones((2, 3, 4), dtype="<f4")
-        v[1, 2, 3] = bad
+        v[1, 2, 4 - np.size(bad):] = bad
         p = tmp_path / "x.fmap"
         p.write_bytes(binary_file("FMAP", 1, v.shape, v.tobytes()))
         with pytest.raises(ValueError, match="non-finite"):

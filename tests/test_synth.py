@@ -1,6 +1,7 @@
 """Synthetic warps, ground-truth maps and benchmark generation."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestWarpSpecMatrix:
     def test_wrong_matrix_shape_rejected(self, kind, shape):
         with pytest.raises(ValueError, match="matrix"):
             WarpSpec(kind, {"matrix": np.ones(shape)}, seed=0, magnitude=0.1)
+
+    @pytest.mark.parametrize("kind, name, bad", [
+        ("homography", "matrix", np.nan), ("homography", "matrix", np.inf),
+        ("tps", "targets", np.nan), ("tps", "controls", -np.inf)])
+    def test_non_finite_params_rejected(self, kind, name, bad):
+        spec = random_warp(kind, 0.4, seed=7)
+        params = {k: np.array(v) for k, v in spec.params.items()}
+        params[name][1, 0] = bad
+        with pytest.raises(ValueError, match=name):
+            WarpSpec(kind, params, seed=7, magnitude=0.4)
+        # a manifest read back from JSON carries NaN and Infinity
+        d = json.loads(json.dumps({**spec.to_dict(), "params": {
+            k: v.tolist() for k, v in params.items()}}))
+        with pytest.raises(ValueError, match=name):
+            WarpSpec.from_dict(d)
 
     @pytest.mark.parametrize("kind", ["affine", "homography"])
     def test_dict_round_trip_keeps_3x3(self, kind):
