@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,43 +27,6 @@ import numpy as np
 
 class ParseError(ValueError):
     """Malformed binary payload; message carries the failing byte offset."""
-
-
-# ---------------------------------------------------------------------------
-# two-way concurrency
-# ---------------------------------------------------------------------------
-
-def _halves(part, n: int):
-    """(part(0, n // 2), part(n // 2, n)), run at once: the first half on a
-    thread started for this call, the second on the calling thread.  The
-    thread is joined before returning and its exception re-raised.
-
-    Callers split work whose items are computed independently, so the
-    joined halves equal one serial pass bit for bit.  The halves run private
-    helpers only, at three call sites: rows of resample_map, rows of
-    extract_hypercolumn (pyramid's _resize_rows and _normalize_rows over row
-    blocks) and _read_binary's payload reads.  The package's public
-    functions and the LCG are entered on the calling thread alone, so their
-    calls nest as in a serial run, which a tracer that wraps them relies on.
-    """
-    out = []
-
-    def run():
-        try:
-            out.append((True, part(0, n // 2)))
-        except BaseException as exc:
-            out.append((False, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        mine = part(n // 2, n)
-    finally:
-        thread.join()
-    ok, theirs = out[0]
-    if not ok:
-        raise theirs
-    return theirs, mine
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +331,9 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
 
     Pixels whose interpolation touches any invalid prior pixel are invalid,
     so a map with no valid pixel gives all-invalid, zero coordinates, which
-    are returned without resampling.  The top and the bottom half of the new
-    rows are resampled at once (see _halves).  Target dimensions below 1
-    raise ValueError.
+    are returned without resampling.  All new rows are resampled in one
+    resize_grid pass on the calling thread.  Target dimensions below 1 raise
+    ValueError.
     """
     if new_h < 1 or new_w < 1:
         raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
@@ -380,15 +342,10 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
         return cmap
     if not cmap.valid.any():
         return CorrespondenceMap(np.zeros((new_h, new_w, 2)), np.zeros((new_h, new_w), dtype=bool))
-    grid = np.dstack([cmap.coords, cmap.valid])
-
-    def rows(r0, r1):
-        stacked = _resize_rows(grid, new_h, new_w, r0, r1)
-        # source coordinates rescale with the same half-pixel convention
-        stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
-        return stacked
-
-    return CorrespondenceMap(*_valid_samples(np.concatenate(_halves(rows, new_h))))
+    stacked = resize_grid(np.dstack([cmap.coords, cmap.valid]), new_h, new_w)
+    # source coordinates rescale with the same half-pixel convention
+    stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
+    return CorrespondenceMap(*_valid_samples(stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +421,6 @@ def save_image(image: Image, path) -> None:
 
 _MAX_DIM = 1 << 20
 
-# payloads of at least this many bytes (FMAPs) are read in two halves at
-# once; smaller ones (CMAPs and GDSCs) in one read on the calling thread
-SPLIT_READ_BYTES = 1 << 20
-
 
 def _write_binary(path, magic: bytes, dims, *arrays) -> None:
     """Write the container: magic, version 1, dims, then the arrays' bytes."""
@@ -479,43 +432,35 @@ def _write_binary(path, magic: bytes, dims, *arrays) -> None:
 
 def _read_binary(path, magic: bytes, n_dims: int, cell_bytes: int):
     """(dims, payload) of a container file, payload a flat uint8 array of
-    cell_bytes per cell.  The header, then the payload size against the
-    file's size, are checked before the payload is allocated, so a malformed
-    file costs no more memory than its header; the payload is then read
-    straight into the array (see SPLIT_READ_BYTES)."""
+    cell_bytes per cell.  The file is opened once.  The header, then the
+    payload size against the file's size, are checked before the payload is
+    allocated, so a malformed file costs no more memory than its header; the
+    payload is then read straight into the array with one readinto, on the
+    calling thread."""
     pos = 4 + 4 * (1 + n_dims)
     with open(path, "rb") as f:
         head = f.read(pos)
+        if len(head) < len(magic) and magic.startswith(head):
+            raise ParseError(f"truncated header at byte {len(head)}")
+        if head[:4] != magic:
+            raise ParseError(f"wrong magic {head[:4]!r} at byte 0, expected {magic!r}")
+        if len(head) < pos:
+            raise ParseError(f"truncated header at byte {len(head)}")
+        version, *dims = struct.unpack_from("<%dI" % (1 + n_dims), head, 4)
+        if version != 1:
+            raise ParseError(f"unsupported version {version} at byte 4")
+        for i, d in enumerate(dims):
+            if d == 0 or d > _MAX_DIM:
+                raise ParseError(f"dimension {d} out of range at byte {8 + 4 * i}")
+        need = cell_bytes * math.prod(dims)
         size = os.fstat(f.fileno()).st_size
-    if len(head) < len(magic) and magic.startswith(head):
-        raise ParseError(f"truncated header at byte {len(head)}")
-    if head[:4] != magic:
-        raise ParseError(f"wrong magic {head[:4]!r} at byte 0, expected {magic!r}")
-    if len(head) < pos:
-        raise ParseError(f"truncated header at byte {len(head)}")
-    version, *dims = struct.unpack_from("<%dI" % (1 + n_dims), head, 4)
-    if version != 1:
-        raise ParseError(f"unsupported version {version} at byte 4")
-    for i, d in enumerate(dims):
-        if d == 0 or d > _MAX_DIM:
-            raise ParseError(f"dimension {d} out of range at byte {8 + 4 * i}")
-    need = cell_bytes * math.prod(dims)
-    if size - pos < need:
-        raise ParseError(f"truncated payload at byte {size}")
-    payload = np.empty(need, dtype=np.uint8)
-
-    def read(lo, hi):
-        with open(path, "rb") as f:
-            f.seek(pos + lo)
-            got = f.readinto(payload[lo:hi])
-        if got != hi - lo:
-            # the file shrank after its size was read
-            raise ParseError(f"truncated payload at byte {pos + lo + got}")
-
-    if need < SPLIT_READ_BYTES:
-        read(0, need)
-    else:
-        _halves(read, need)
+        if size - pos < need:
+            raise ParseError(f"truncated payload at byte {size}")
+        payload = np.empty(need, dtype=np.uint8)
+        got = f.readinto(payload)
+    if got != need:
+        # the file shrank after its size was read
+        raise ParseError(f"truncated payload at byte {pos + got}")
     return dims, payload
 
 

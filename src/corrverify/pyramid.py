@@ -8,10 +8,12 @@ A pyramid is a tuple of ``FeatureMap``s, coarsest first: five levels from
 cells a side at 240), each with the same 10 descriptor channels.
 A hypercolumn concatenates every level upsampled to one target grid; it is
 built in blocks of rows that stay in cache, the top and the bottom half of
-the rows at once (see ``core._halves``).
+the rows at once (see ``_halves``): the only thread the package starts.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -20,7 +22,6 @@ from .core import (
     FeatureMap,
     GlobalDescriptor,
     Image,
-    _halves,
     _resize_rows,
     resize_image,
     to_grayscale,
@@ -133,6 +134,32 @@ def _normalize_rows(arr: np.ndarray) -> None:
         arr[(nrm <= 1e-12)[..., 0]] = 0
 
 
+def _halves(part, n: int) -> None:
+    """part(0, n // 2) on a thread started for this call and part(n // 2, n)
+    on the calling thread, at once; the thread is joined and its exception
+    re-raised.  The one caller, extract_hypercolumn, fills disjoint rows in
+    each half, so the result equals one serial pass bit for bit.  The halves
+    run private helpers only, so public functions are entered on the calling
+    thread alone, which a tracer that wraps them relies on.
+    """
+    errors = []
+
+    def run():
+        try:
+            part(0, n // 2)
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        part(n // 2, n)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     """Concatenated multi-level descriptors at one resolution, unit rows.
 
@@ -146,14 +173,17 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     rows (HYPERCOLUMN_BLOCK_BYTES of output each) that stay in cache, and
     the top and the bottom half of the rows are filled at once (see
     _halves); the result equals one pass over the whole grid bit for bit.
+    A pyramid with no levels or no channels raises ValueError.
     """
     if not pyramid:
         raise ValueError("empty pyramid")
+    total_c = sum(fm.channels for fm in pyramid)
+    if total_c == 0:
+        raise ValueError("pyramid has no channels")
     th, tw = target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
     if th < ch or tw < cw:
         raise ValueError("target resolution must be at least the coarsest level")
-    total_c = sum(fm.channels for fm in pyramid)
     out = np.empty((th, tw, total_c), dtype=np.float32)
     step = max(1, HYPERCOLUMN_BLOCK_BYTES // (tw * total_c * out.itemsize))
 
@@ -177,9 +207,12 @@ def compute_global_descriptor(pyramid: tuple) -> GlobalDescriptor:
     tuple of ``FeatureMap``s, coarsest first), L2-normalized.
 
     All-zero feature maps fall back to the all-equal-components unit vector.
+    An empty pyramid, or a coarsest level with no channels, raises ValueError.
     """
     if not pyramid:
         raise ValueError("empty pyramid")
+    if pyramid[0].channels == 0:
+        raise ValueError("coarsest level has no channels")
     v = pyramid[0].values.astype(np.float64)
     m = np.mean(np.sign(v) * np.abs(v) ** GEM_POWER, axis=(0, 1))
     pooled = np.sign(m) * np.abs(m) ** (1.0 / GEM_POWER)

@@ -16,9 +16,13 @@ _MASK64 = (1 << 64) - 1
 
 
 def derive_seed(master_seed: int, *path) -> int:
-    """Stable 64-bit seed for the component named by ``path``."""
+    """Stable 64-bit seed for the component named by ``path``; master_seed
+    must lie in [0, 2**64), else ValueError."""
+    seed = int(master_seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must lie in [0, 2**64)")
     h = hashlib.sha256()
-    h.update(int(master_seed).to_bytes(8, "little", signed=False))
+    h.update(seed.to_bytes(8, "little", signed=False))
     for part in path:
         h.update(b"/")
         h.update(str(part).encode("utf-8"))

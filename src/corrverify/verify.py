@@ -372,7 +372,10 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
     (in bounds, all contributing pixels valid), and the composed coordinate
     lies within epsilon of p.  A map with no valid pixel gives the empty
     mask straight away; otherwise every row is checked in one pass.
+    epsilon must lie in [0, inf), else ValueError.
     """
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must lie in [0, inf)")
     if not o_ab.valid.any():
         return Mask(o_ab.valid)
     back, ok = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])

@@ -1,11 +1,9 @@
 """Maps and probes shared by the test modules."""
 
 import threading
-import types
 
 import numpy as np
 
-from corrverify import core
 from corrverify.core import CorrespondenceMap
 
 
@@ -17,13 +15,13 @@ def identity_map(h: int, w: int) -> CorrespondenceMap:
 
 
 def count_threads(monkeypatch):
-    """Record every thread the package starts."""
+    """Record every thread started in the process until the test ends."""
     started = []
+    start = threading.Thread.start
 
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def record(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(core, "threading", types.SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(threading.Thread, "start", record)
     return started

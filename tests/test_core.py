@@ -333,8 +333,7 @@ def random_container(fmt, dims, seed):
     return GlobalDescriptor(v / np.linalg.norm(v)), write_gdsc
 
 
-# payloads on both sides of SPLIT_READ_BYTES (1 MiB); a payload read in two
-# halves may split a float's bytes
+# payloads from one cell to just over 1 MiB, of cells of 4 and of 9 bytes
 PAYLOADS = [
     ("FMAP", (1, 1, 1)), ("FMAP", (1, 1, 3)), ("FMAP", (3, 1, 1)), ("FMAP", (5, 6, 7)),
     ("FMAP", (1, 262143, 1)), ("FMAP", (1, 262145, 1)),
@@ -349,8 +348,8 @@ def payload_bytes(fmt, dims):
 
 
 class TestBinaryPayload:
-    """Every reader fills its payload through one path: in two halves at
-    once from 1 MiB up, in one read on the calling thread below."""
+    """Every reader fills its payload through one path: one read on the
+    calling thread, whatever the payload's size."""
 
     @pytest.mark.parametrize("fmt, dims", PAYLOADS, ids=PAYLOAD_IDS)
     def test_payload_bitwise(self, fmt, dims, tmp_path, monkeypatch):
@@ -358,13 +357,13 @@ class TestBinaryPayload:
         write(value, tmp_path / "a.bin")
         started = count_threads(monkeypatch)
         back = READERS[fmt][0](tmp_path / "a.bin")
-        assert len(started) == (payload_bytes(fmt, dims) >= core.SPLIT_READ_BYTES)
+        assert started == []
         write(back, tmp_path / "b.bin")
         assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
 
     @pytest.mark.parametrize("fmt, dims", PAYLOADS, ids=PAYLOAD_IDS)
     def test_shrunk_while_read(self, fmt, dims, tmp_path, monkeypatch):
-        # the size check passes, then the read (or its second half) comes up short
+        # the size check passes, then the read comes up short
         value, write = random_container(fmt, dims, 9)
         p = tmp_path / "a.bin"
         write(value, p)
@@ -674,9 +673,9 @@ class TestResampleMap:
         assert np.abs(got.coords - want).max() <= 1e-12
 
     @pytest.mark.parametrize("new_h, new_w", [(1, 5), (2, 3), (7, 40), (61, 60), (480, 480)])
-    def test_halves_equal_one_pass(self, new_h, new_w):
-        # the new rows are resampled in two halves at once; both must equal
-        # one resize of the whole grid, bit for bit
+    def test_equals_one_resize_pass(self, new_h, new_w):
+        # the map equals one resize of its stacked coordinates and validity,
+        # rescaled, bit for bit
         rng = np.random.default_rng(new_h)
         h, w = 30, 40
         coords = np.stack([rng.uniform(0, w - 1, (h, w)), rng.uniform(0, h - 1, (h, w))], axis=2)
@@ -704,10 +703,10 @@ class TestResampleMap:
         cmap = CorrespondenceMap(np.ones((11, 9, 2)), np.zeros((11, 9), dtype=bool))
         want, want_ok = resample_oracle(cmap, new_h, new_w)
 
-        def no_thread(*args, **kwargs):
-            raise AssertionError("resample_map started a thread")
+        def no_resize(*args):
+            raise AssertionError("resample_map resampled an all-invalid map")
 
-        monkeypatch.setattr(core, "threading", types.SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(core, "_resize_rows", no_resize)
         got = resample_map(cmap, new_h, new_w)
         assert np.array_equal(got.valid, want_ok) and not want_ok.any()
         assert got.coords.shape == want.shape and got.coords.tobytes() == want.tobytes()

@@ -8,10 +8,23 @@ score shows here.  Warps are affine only: TPS fits go through a linear
 solve whose last bits depend on the BLAS build.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from corrverify.core import CorrespondenceMap, Image
+from corrverify import pyramid
+from corrverify.core import (
+    CorrespondenceMap,
+    Image,
+    read_cmap,
+    read_fmap,
+    read_gdsc,
+    resample_map,
+    write_cmap,
+    write_fmap,
+    write_gdsc,
+)
 from corrverify.pyramid import build_pyramid, compute_global_descriptor, extract_hypercolumn
 from corrverify.synth import apply_warp, make_texture, random_warp
 from corrverify.verify import (
@@ -23,6 +36,8 @@ from corrverify.verify import (
     score_s_f,
     score_s_l,
 )
+
+from helpers import count_threads
 
 SIZE = 128
 RANSAC = RansacConfig(seed=5)
@@ -57,11 +72,15 @@ def pipeline(image_a: Image, image_b: Image, o_ab: CorrespondenceMap,
             "G": g, "S": s, "S_L": s_l, "S_F": s_f}
 
 
-def positive() -> dict:
+def positive_inputs():
+    """(source, warped, forward map, backward map) of the positive pair."""
     source = make_texture(SIZE, SIZE, seed=21)
-    warped, gt_forward, gt_backward = apply_warp(
+    return (source,) + apply_warp(
         source, random_warp("affine", 0.3, seed=21, frame_hw=(SIZE, SIZE)))
-    return pipeline(source, warped, gt_forward, gt_backward)
+
+
+def positive() -> dict:
+    return pipeline(*positive_inputs())
 
 
 def distractor() -> dict:
@@ -92,3 +111,34 @@ def test_scores_pinned(case):
     assert got["I"] == want["I"] and got["C"] == want["C"]
     for key in ("G", "S", "S_L", "S_F"):
         assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), key
+
+
+def test_threads_start_only_in_hypercolumns(monkeypatch, tmp_path):
+    # the positive case, one resample_map to 2x size and a write and read of
+    # each container: exactly one thread per extract_hypercolumn call starts,
+    # and both are joined; the 3.3 MB FMAP is read on the calling thread
+    started = count_threads(monkeypatch)
+    hypers = []
+
+    def hypercolumn(pyr, target_hw):
+        before = len(started)
+        hypers.append(pyramid.extract_hypercolumn(pyr, target_hw))
+        assert len(started) == before + 1
+        return hypers[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "extract_hypercolumn", hypercolumn)
+    source, warped, o_ab, o_ba = positive_inputs()
+    got = pipeline(source, warped, o_ab, o_ba)
+    assert got["I"] == PINNED["positive"][1]["I"]
+    up = resample_map(o_ab, 2 * SIZE, 2 * SIZE)
+    write_cmap(up, tmp_path / "a.cmap")
+    write_fmap(hypers[0], tmp_path / "a.fmap")
+    desc = compute_global_descriptor(build_pyramid(source, SIZE))
+    write_gdsc(desc, tmp_path / "a.gdsc")
+    back = read_cmap(tmp_path / "a.cmap")
+    assert np.array_equal(back.valid, up.valid) and back.valid.any()
+    assert np.array_equal(back.coords, up.coords.astype(np.float32))
+    assert read_fmap(tmp_path / "a.fmap").values.tobytes() == hypers[0].values.tobytes()
+    assert np.array_equal(read_gdsc(tmp_path / "a.gdsc").values, desc.values.astype(np.float32))
+    assert len(hypers) == 2 and len(started) == 2
+    assert not any(t.is_alive() for t in started)

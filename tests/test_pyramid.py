@@ -233,6 +233,11 @@ class TestHypercolumn:
         with pytest.raises(ValueError, match="empty pyramid"):
             extract_hypercolumn(())
 
+    def test_no_channels_rejected(self):
+        fm = FeatureMap(np.zeros((15, 15, 0), np.float32))
+        with pytest.raises(ValueError, match="no channels"):
+            extract_hypercolumn((fm,))
+
 
 def texture_pyramid(seed):
     return build_pyramid(make_texture(480, 480, seed=seed))
@@ -387,3 +392,8 @@ class TestGlobalDescriptor:
     def test_empty_pyramid_rejected(self):
         with pytest.raises(ValueError, match="empty pyramid"):
             compute_global_descriptor(())
+
+    def test_no_channels_rejected(self):
+        fm = FeatureMap(np.zeros((15, 15, 0), np.float32))
+        with pytest.raises(ValueError, match="no channels"):
+            compute_global_descriptor((fm,))

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from corrverify.rng import Lcg64
+from corrverify.rng import Lcg64, derive_seed
 
 # sha256 of the int64 bytes of 500 consecutive sample_distinct(n, 4) draws;
 # at n = 3 * 2**30 about a quarter of the raw 32-bit draws are rejected
@@ -62,3 +62,13 @@ class TestLcg64:
         for _ in range(100):
             assert rng.below(1 << 32) == raw._step() >> 32
         assert len(set(rng.sample_distinct(1 << 32, 4))) == 4
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            derive_seed(seed, "warp")
+
+    def test_range_ends_accepted(self):
+        assert derive_seed(0) != derive_seed((1 << 64) - 1)

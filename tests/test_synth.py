@@ -82,6 +82,10 @@ class TestRandomWarp:
         with pytest.raises(ValueError):
             random_warp("ripple", 0.5, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            random_warp("affine", 0.5, seed=-1)
+
     def test_spec_round_trips_through_dict(self):
         spec = random_warp("tps", 0.4, seed=9)
         back = WarpSpec.from_dict(spec.to_dict())

@@ -470,6 +470,17 @@ class TestCyclicMask:
         assert np.array_equal(cyclic_mask(m, m).bits, cyclic_mask(ref, ref).bits)
         assert cyclic_mask(m, m).count() == 35
 
+    @pytest.mark.parametrize("epsilon", [np.nan, -1.0, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # nan or a negative epsilon would give the empty mask, so S = 0
+        ident = identity_map(8, 8)
+        with pytest.raises(ValueError, match="epsilon"):
+            cyclic_mask(ident, ident, epsilon)
+
+    def test_zero_epsilon_identity_all_set(self):
+        ident = identity_map(8, 8)
+        assert cyclic_mask(ident, ident, 0.0).count() == 64
+
 
 def gt_maps_for(kind, seed, magnitude=0.4):
     img = make_texture(240, 240, seed=seed)
