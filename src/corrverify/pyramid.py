@@ -7,13 +7,13 @@ A pyramid is a tuple of ``FeatureMap``s, coarsest first: five levels from
 1/16 of the working resolution up to the full one (15, 30, 60, 120 and 240
 cells a side at 240), each with the same 10 descriptor channels.
 A hypercolumn concatenates every level upsampled to one target grid; it is
-built in blocks of rows that stay in cache, the top and the bottom half of
-the rows at once (see ``_halves``): the only thread the package starts.
+built in cache-sized blocks of rows, the top half of the rows on a one-thread
+executor while the caller fills the rest: the only thread the package starts.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -134,32 +134,6 @@ def _normalize_rows(arr: np.ndarray) -> None:
         arr[(nrm <= 1e-12)[..., 0]] = 0
 
 
-def _halves(part, n: int) -> None:
-    """part(0, n // 2) on a thread started for this call and part(n // 2, n)
-    on the calling thread, at once; the thread is joined and its exception
-    re-raised.  The one caller, extract_hypercolumn, fills disjoint rows in
-    each half, so the result equals one serial pass bit for bit.  The halves
-    run private helpers only, so public functions are entered on the calling
-    thread alone, which a tracer that wraps them relies on.
-    """
-    errors = []
-
-    def run():
-        try:
-            part(0, n // 2)
-        except BaseException as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        part(n // 2, n)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     """Concatenated multi-level descriptors at one resolution, unit rows.
 
@@ -170,9 +144,10 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     upsampled level is zero.
 
     Every pixel is computed on its own, so the grid is filled in blocks of
-    rows (HYPERCOLUMN_BLOCK_BYTES of output each) that stay in cache, and
-    the top and the bottom half of the rows are filled at once (see
-    _halves); the result equals one pass over the whole grid bit for bit.
+    rows (HYPERCOLUMN_BLOCK_BYTES of output each) that stay in cache, the
+    top half of the rows on a thread started for the call, the bottom half
+    on the caller; either half's exception reaches the caller, and the
+    result equals one pass over the whole grid bit for bit.
     A pyramid with no levels or no channels raises ValueError.
     """
     if not pyramid:
@@ -198,7 +173,12 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
                 ofs += fm.channels
             _normalize_rows(out[b0:b1])
 
-    _halves(rows, th)
+    # the worker runs private helpers only, so public functions are entered
+    # on the calling thread alone, which a tracer that wraps them relies on
+    with ThreadPoolExecutor(1) as pool:
+        top = pool.submit(rows, 0, th // 2)
+        rows(th // 2, th)
+    top.result()
     return FeatureMap(out)
 
 

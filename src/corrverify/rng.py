@@ -9,6 +9,7 @@ component reproducible and independent of generation order or platform.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -17,7 +18,10 @@ _MASK64 = (1 << 64) - 1
 
 def derive_seed(master_seed: int, *path) -> int:
     """Stable 64-bit seed for the component named by ``path``; master_seed
-    must lie in [0, 2**64), else ValueError."""
+    must be an integer (numbers.Integral, not bool) in [0, 2**64), else
+    ValueError."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {master_seed!r}")
     seed = int(master_seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must lie in [0, 2**64)")

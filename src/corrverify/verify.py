@@ -161,12 +161,15 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     """Least-squares homography with src -> dst, Hartley-normalized DLT.
 
     Exact for 4 pairs in general position; raises DegenerateModelError when
-    the configuration (e.g. collinear points) leaves the model ambiguous.
+    the configuration (e.g. collinear points) leaves the model ambiguous, and
+    ValueError when a point is not finite.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2 or len(src) < 4:
         raise ValueError("need matching (N, 2) arrays with N >= 4")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("points must be finite")
     H = _batch_dlt(src[None], dst[None])[0]
     if np.isnan(H).any():
         raise DegenerateModelError("degenerate point configuration")
@@ -243,8 +246,7 @@ def _inlier_chunks(models: np.ndarray, src: np.ndarray, dst: np.ndarray, thresho
 def _count_inliers(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
                    threshold: float) -> np.ndarray:
     """(K,) symmetric-transfer inlier counts."""
-    counts = [m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)]
-    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.intp)
+    return np.concatenate([m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)])
 
 
 def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -258,10 +260,11 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Hypotheses are scored on the valid pixels of every SAMPLE_STRIDE-th row
-# and column.  When that subgrid has more than 2 * PRESCREEN_TARGET pixels,
-# every hypothesis is first counted on about PRESCREEN_TARGET evenly spaced
-# probe pixels and only the PRESCREEN_KEEP best are scored on the subgrid (a
-# deterministic, order-preserving speedup for smooth dense maps).
+# and column.  Every hypothesis is first counted on at most PRESCREEN_TARGET
+# evenly spaced probe pixels, and only the PRESCREEN_KEEP best are scored on
+# the subgrid: preemptive scoring (Nister, ICCV 2003), deterministic and
+# order-preserving.  A subgrid of at most PRESCREEN_TARGET pixels is its own
+# probe, and the result is that of scoring every hypothesis on it.
 SAMPLE_STRIDE = 2
 PRESCREEN_TARGET = 1800
 PRESCREEN_KEEP = 48
@@ -318,8 +321,8 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     seed.  The best hypothesis (by subgrid inlier count, ties to the earlier
     iteration) is refit with DLT on its inliers; the reported mask holds the
     refit model's inliers over all valid pixels.  Every hypothesis is fitted
-    in one DLT batch, then prescreened on probe pixels (large subgrids only)
-    and counted on the subgrid.
+    in one DLT batch and prescreened on probe pixels; the survivors are
+    counted on the subgrid.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -335,13 +338,12 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 
     # RANSAC models map target grid -> source coords
     models = _batch_dlt(pts[quads], coords[quads])
-    if n > 2 * PRESCREEN_TARGET:
-        step = int(np.ceil(n / PRESCREEN_TARGET))
-        probe_counts = _count_inliers(models, pts[::step], coords[::step], t)
-        # stable sort keeps earlier iterations first among equal counts;
-        # re-sorting the kept set preserves the ties-to-earliest rule below
-        order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
-        models = models[np.sort(order)]
+    step = int(np.ceil(n / PRESCREEN_TARGET))
+    probe_counts = _count_inliers(models, pts[::step], coords[::step], t)
+    # stable sort keeps earlier iterations first among equal counts;
+    # re-sorting the kept set preserves the ties-to-earliest rule below
+    order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
+    models = models[np.sort(order)]
     counts = _count_inliers(models, pts, coords, t)
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
     if counts[best_j] < max(4, config.min_inliers):
@@ -411,7 +413,12 @@ class VerificationResult:
 
 
 def score_s(num_inliers: int, num_consistent: int, beta: float) -> float:
-    """Structural similarity (|C|/|I|) * exp(-beta/|C|); 0 on empty sets."""
+    """Structural similarity (|C|/|I|) * exp(-beta/|C|); 0 on empty sets.
+
+    C is a subset of I, so num_consistent > num_inliers raises ValueError.
+    """
+    if num_consistent > num_inliers:
+        raise ValueError(f"num_consistent {num_consistent} exceeds num_inliers {num_inliers}")
     if num_inliers <= 0 or num_consistent <= 0:
         return 0.0
     return (num_consistent / num_inliers) * math.exp(-beta / num_consistent)

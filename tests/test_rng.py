@@ -72,3 +72,13 @@ class TestDeriveSeed:
 
     def test_range_ends_accepted(self):
         assert derive_seed(0) != derive_seed((1 << 64) - 1)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "5"])
+    def test_non_integer_rejected(self, seed):
+        # int() would truncate 1.7 and True to 1 and parse "5"
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            derive_seed(seed, "warp")
+
+    def test_numpy_integers_accepted(self):
+        assert derive_seed(np.int64(5), "warp") == derive_seed(5, "warp")
+        assert derive_seed(np.uint64((1 << 64) - 1)) == derive_seed((1 << 64) - 1)

@@ -134,6 +134,16 @@ class TestDlt:
         with pytest.raises(ValueError):
             fit_homography_dlt(pts, pts)
 
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, side, bad):
+        # nan made the SVD fail to converge, inf made it warn first
+        pts = {"src": np.array([[0.0, 0], [10, 0], [10, 10], [0, 10], [5, 3]]),
+               "dst": np.array([[1.0, 2], [12, 1], [11, 13], [2, 9], [6, 5]])}
+        pts[side][2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_homography_dlt(pts["src"], pts["dst"])
+
 
 class TestProject:
     def test_matches_synth_homography_warps(self):
@@ -171,6 +181,12 @@ class TestScoreS:
     def test_zero_counts_give_zero(self):
         assert score_s(1000, 0, 57600.0) == 0.0
         assert score_s(0, 0, 57600.0) == 0.0
+
+    @pytest.mark.parametrize("num_inliers, num_consistent", [(1, 5), (0, 1), (999, 1000)])
+    def test_consistent_above_inliers_rejected(self, num_inliers, num_consistent):
+        # C is a subset of I; unchecked, score_s(1, 5, 10.0) read 0.677 > 1/e
+        with pytest.raises(ValueError, match="exceeds num_inliers"):
+            score_s(num_inliers, num_consistent, 10.0)
 
     def test_hand_evaluated_value(self):
         expect = 0.5 * math.exp(-115.2)
@@ -562,6 +578,46 @@ class TestRansac:
         cmap = CorrespondenceMap(identity_map(40, 40).coords, valid)
         assert len(_map_correspondences(cmap, verify.SAMPLE_STRIDE)[0]) == 20
         return cmap
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_small_subgrid_equals_exhaustive_scoring(self, seed):
+        # a subgrid of at most PRESCREEN_TARGET pixels is its own probe, so
+        # the prescreen keeps the earliest best hypothesis of a count of every
+        # hypothesis on the subgrid, and the refit and its mask follow
+        fwd, _ = noisy_pair("tps", seed, 0.4, size=64)
+        cfg = RansacConfig(iterations=300, seed=seed)
+        t = cfg.inlier_threshold
+        pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
+        assert len(pts) <= 32 * 32 <= verify.PRESCREEN_TARGET
+        rng = Lcg64(cfg.seed)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(cfg.iterations)])
+        models = _batch_dlt(pts[quads], coords[quads])
+        counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, t)) for m in models]
+        best = models[int(np.argmax(counts))]
+        inl = verify._inlier_mask(best, pts, coords, t)
+        want = fit_homography_dlt(pts[inl], coords[inl])
+        grid_pts, grid_coords = _map_correspondences(fwd, 1)
+        want_bits = np.zeros(fwd.valid.shape, dtype=bool)
+        want_bits[fwd.valid] = verify._inlier_mask(want.matrix, grid_pts, grid_coords, t)
+
+        model, inliers = ransac_homography(fwd, cfg)
+        assert model.matrix.tobytes() == want.matrix.tobytes()
+        assert np.array_equal(inliers.bits, want_bits)
+
+    def test_every_subgrid_prescreened(self, monkeypatch):
+        # 2500 subgrid pixels: the probe takes every second one, then the
+        # PRESCREEN_KEEP survivors are counted on the whole subgrid
+        calls = []
+        real = verify._count_inliers
+
+        def counted(models, src, dst, threshold):
+            calls.append((len(models), len(src)))
+            return real(models, src, dst, threshold)
+
+        monkeypatch.setattr(verify, "_count_inliers", counted)
+        model, _ = ransac_homography(identity_map(100, 100), RansacConfig(seed=1))
+        assert model is not None
+        assert calls == [(1000, 1250), (48, 2500)]
 
     @pytest.mark.parametrize("min_inliers", [0, 1, 2, 3])
     def test_below_four_inliers_no_model(self, min_inliers):
