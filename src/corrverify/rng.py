@@ -16,13 +16,19 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _integer_seed(seed) -> int:
+    """seed as an int; ValueError unless it is an integer (numbers.Integral,
+    not bool), where int() would truncate 1.7 and True and parse "5"."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 def derive_seed(master_seed: int, *path) -> int:
     """Stable 64-bit seed for the component named by ``path``; master_seed
     must be an integer (numbers.Integral, not bool) in [0, 2**64), else
     ValueError."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {master_seed!r}")
-    seed = int(master_seed)
+    seed = _integer_seed(master_seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must lie in [0, 2**64)")
     h = hashlib.sha256()
@@ -43,14 +49,15 @@ class Lcg64:
 
     Used where bit-portable sampling matters (RANSAC hypothesis draws):
     the stream depends only on integer arithmetic, never on numpy version.
-    Constants are Knuth's MMIX multiplier/increment.
+    Constants are Knuth's MMIX multiplier/increment.  The seed is any
+    integer (numbers.Integral, not bool), else ValueError.
     """
 
     MUL = 6364136223846793005
     INC = 1442695040888963407
 
     def __init__(self, seed: int):
-        self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (_integer_seed(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
         # one warm-up step decorrelates small seeds
         self._step()
 

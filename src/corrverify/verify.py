@@ -264,14 +264,24 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # evenly spaced probe pixels, and only the PRESCREEN_KEEP best are scored on
 # the subgrid: preemptive scoring (Nister, ICCV 2003), deterministic and
 # order-preserving.  A subgrid of at most PRESCREEN_TARGET pixels is its own
-# probe, and the result is that of scoring every hypothesis on it.
+# probe, and the result is that of scoring every drawn hypothesis on it.
+#
+# Hypotheses are drawn in at most two batches from one LCG stream.  The
+# first FIRST_ROUND draws are counted on the probe pixels; if one of them
+# explains every probe pixel, the inlier share w is 1 and the adaptive bound
+# N = log(1 - p) / log(1 - w^4) of Fischler & Bolles (1981; Hartley &
+# Zisserman, 2nd ed., section 4.7) is 0 at any confidence p, so the draws
+# stop there.  Otherwise one second batch draws the rest of the configured
+# iterations, and the result is that of drawing them all at once.
 SAMPLE_STRIDE = 2
 PRESCREEN_TARGET = 1800
 PRESCREEN_KEEP = 48
+FIRST_ROUND = 16
 
-# RANSAC holds all hypotheses at once, about 2.5 KiB each (draws, DLT
-# systems, SVD factors), so the iteration count is capped: a run at the cap
-# peaks at about 160 MiB under tracemalloc, on 240^2 and 480^2 maps alike.
+# RANSAC holds all drawn hypotheses at once, about 2.5 KiB each (draws, DLT
+# systems, SVD factors), so the iteration count is capped: a run that draws
+# to the cap (w < 1) peaks at 158-161 MiB under tracemalloc, on 128^2
+# to 480^2 maps alike.
 MAX_ITERATIONS = 1 << 16
 
 
@@ -281,9 +291,11 @@ class RansacConfig:
 
     iterations, min_inliers and seed are integers (numbers.Integral, not
     bool): iterations lies in [1, MAX_ITERATIONS], min_inliers is >= 0 and
-    seed is any integer.  inlier_threshold (symmetric transfer distance,
-    pixels) is finite and positive.  A model needs max(4, min_inliers)
-    inliers on the sampling subgrid: at least 4, whatever min_inliers is.
+    seed is any integer.  iterations caps the hypotheses drawn: RANSAC
+    stops after FIRST_ROUND draws when one of them explains every probe
+    pixel.  inlier_threshold (symmetric transfer distance, pixels) is
+    finite and positive.  A model needs max(4, min_inliers) inliers on the
+    sampling subgrid: at least 4, whatever min_inliers is.
     """
 
     iterations: int = 1000
@@ -318,11 +330,14 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 
     Returns (Homography or None, inlier Mask over the full grid).  Sampling
     is driven by a portable 64-bit LCG so results are bit-stable for a given
-    seed.  The best hypothesis (by subgrid inlier count, ties to the earlier
-    iteration) is refit with DLT on its inliers; the reported mask holds the
-    refit model's inliers over all valid pixels.  Every hypothesis is fitted
-    in one DLT batch and prescreened on probe pixels; the survivors are
-    counted on the subgrid.
+    seed.  The first min(FIRST_ROUND, iterations) hypotheses are fitted in
+    one DLT batch and counted on the probe pixels.  If one of them explains
+    every probe pixel (w = 1, as on an exact map) the draws stop there;
+    otherwise one second batch draws the rest of the iterations.  The
+    PRESCREEN_KEEP best of all drawn hypotheses are counted on the subgrid,
+    and the best of them (ties to the earlier draw) is refit with DLT on its
+    inliers; the reported mask holds the refit model's inliers over all
+    valid pixels.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -331,15 +346,24 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
         return None, empty
 
     rng = Lcg64(config.seed)
-    quads = np.empty((config.iterations, 4), dtype=np.int64)
-    for i in range(config.iterations):
-        quads[i] = rng.sample_distinct(n, 4)
     t = config.inlier_threshold
-
-    # RANSAC models map target grid -> source coords
-    models = _batch_dlt(pts[quads], coords[quads])
     step = int(np.ceil(n / PRESCREEN_TARGET))
-    probe_counts = _count_inliers(models, pts[::step], coords[::step], t)
+    probe_pts, probe_coords = pts[::step], coords[::step]
+
+    def draw(k):
+        """k more hypotheses from the stream and their probe counts."""
+        quads = np.empty((k, 4), dtype=np.int64)
+        for i in range(k):
+            quads[i] = rng.sample_distinct(n, 4)
+        # RANSAC models map target grid -> source coords
+        batch = _batch_dlt(pts[quads], coords[quads])
+        return batch, _count_inliers(batch, probe_pts, probe_coords, t)
+
+    models, probe_counts = draw(min(FIRST_ROUND, config.iterations))
+    if probe_counts.max() < len(probe_pts) and len(models) < config.iterations:
+        more, more_counts = draw(config.iterations - len(models))
+        models = np.concatenate([models, more])
+        probe_counts = np.concatenate([probe_counts, more_counts])
     # stable sort keeps earlier iterations first among equal counts;
     # re-sorting the kept set preserves the ties-to-earliest rule below
     order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]

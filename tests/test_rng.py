@@ -63,6 +63,16 @@ class TestLcg64:
             assert rng.below(1 << 32) == raw._step() >> 32
         assert len(set(rng.sample_distinct(1 << 32, 4))) == 4
 
+    @pytest.mark.parametrize("seed", [1.7, True, "5"])
+    def test_non_integer_rejected(self, seed):
+        # int() would truncate 1.7 and True to 1 and parse "5"
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            Lcg64(seed)
+
+    def test_numpy_integers_accepted(self):
+        assert Lcg64(np.int64(5)).state == Lcg64(5).state
+        assert Lcg64(np.uint64((1 << 64) - 1)).state == Lcg64((1 << 64) - 1).state
+
 
 class TestDeriveSeed:
     @pytest.mark.parametrize("seed", [-1, 1 << 64])

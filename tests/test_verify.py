@@ -579,20 +579,44 @@ class TestRansac:
         assert len(_map_correspondences(cmap, verify.SAMPLE_STRIDE)[0]) == 20
         return cmap
 
+    @staticmethod
+    def record_calls(monkeypatch):
+        """(quads drawn through Lcg64.sample_distinct, (models, points) of
+        each _count_inliers call), both in call order."""
+        drawn, calls = [], []
+        real_draw, real_count = Lcg64.sample_distinct, verify._count_inliers
+
+        def recorded(self, n, k):
+            drawn.append(real_draw(self, n, k))
+            return drawn[-1]
+
+        def counted(models, src, dst, threshold):
+            calls.append((len(models), len(src)))
+            return real_count(models, src, dst, threshold)
+
+        monkeypatch.setattr(Lcg64, "sample_distinct", recorded)
+        monkeypatch.setattr(verify, "_count_inliers", counted)
+        return drawn, calls
+
     @pytest.mark.parametrize("seed", [71, 72, 73])
-    def test_small_subgrid_equals_exhaustive_scoring(self, seed):
+    def test_small_subgrid_equals_exhaustive_scoring(self, monkeypatch, seed):
         # a subgrid of at most PRESCREEN_TARGET pixels is its own probe, so
-        # the prescreen keeps the earliest best hypothesis of a count of every
-        # hypothesis on the subgrid, and the refit and its mask follow
+        # the prescreen keeps the earliest best count of every drawn
+        # hypothesis on the subgrid, and the refit and its mask follow.  No
+        # first-round hypothesis explains the whole noisy subgrid, so the
+        # second batch draws the rest of the same stream
         fwd, _ = noisy_pair("tps", seed, 0.4, size=64)
         cfg = RansacConfig(iterations=300, seed=seed)
         t = cfg.inlier_threshold
         pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
-        assert len(pts) <= 32 * 32 <= verify.PRESCREEN_TARGET
+        n = len(pts)
+        assert n <= 32 * 32 <= verify.PRESCREEN_TARGET
         rng = Lcg64(cfg.seed)
-        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(cfg.iterations)])
+        quads = np.array([rng.sample_distinct(n, 4) for _ in range(cfg.iterations)])
         models = _batch_dlt(pts[quads], coords[quads])
         counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, t)) for m in models]
+        first = verify.FIRST_ROUND
+        assert max(counts[:first]) < n
         best = models[int(np.argmax(counts))]
         inl = verify._inlier_mask(best, pts, coords, t)
         want = fit_homography_dlt(pts[inl], coords[inl])
@@ -600,29 +624,57 @@ class TestRansac:
         want_bits = np.zeros(fwd.valid.shape, dtype=bool)
         want_bits[fwd.valid] = verify._inlier_mask(want.matrix, grid_pts, grid_coords, t)
 
+        drawn, calls = self.record_calls(monkeypatch)
         model, inliers = ransac_homography(fwd, cfg)
         assert model.matrix.tobytes() == want.matrix.tobytes()
         assert np.array_equal(inliers.bits, want_bits)
+        assert np.array_equal(np.array(drawn), quads)
+        assert calls == [(first, n), (cfg.iterations - first, n), (verify.PRESCREEN_KEEP, n)]
 
     def test_every_subgrid_prescreened(self, monkeypatch):
         # 2500 subgrid pixels: the probe takes every second one, then the
-        # PRESCREEN_KEEP survivors are counted on the whole subgrid
-        calls = []
-        real = verify._count_inliers
+        # PRESCREEN_KEEP best (here all) are counted on the whole subgrid
+        drawn, calls = self.record_calls(monkeypatch)
+        model, inliers = ransac_homography(identity_map(100, 100), RansacConfig(seed=1))
+        assert model is not None and inliers.count() == 100 * 100
+        # the map is exact: a first-round hypothesis explains every probe
+        # pixel, so the draws stop at FIRST_ROUND
+        assert len(drawn) == verify.FIRST_ROUND == 16
+        assert calls == [(16, 1250), (16, 2500)]
 
-        def counted(models, src, dst, threshold):
-            calls.append((len(models), len(src)))
-            return real(models, src, dst, threshold)
+    def test_iterations_cap_first_round(self, monkeypatch):
+        # a cap below FIRST_ROUND makes the first batch every draw
+        fwd, _ = noisy_pair("tps", 72, 0.4, size=64)
+        drawn, _ = self.record_calls(monkeypatch)
+        model, _ = ransac_homography(fwd, RansacConfig(iterations=5, seed=72))
+        assert len(drawn) == 5 and model is not None
 
-        monkeypatch.setattr(verify, "_count_inliers", counted)
-        model, _ = ransac_homography(identity_map(100, 100), RansacConfig(seed=1))
-        assert model is not None
-        assert calls == [(1000, 1250), (48, 2500)]
+    def test_memory_bounded_at_cap(self):
+        # a map without inliers draws to the cap, and RANSAC holds all
+        # MAX_ITERATIONS hypotheses at once.  The peak measured 158.2 MiB
+        # (numpy 2.4); the bound leaves 10% for numpy versions whose SVD
+        # and DLT temporaries differ, and still fails if the hypotheses
+        # were held twice
+        valid = np.zeros((128, 128), dtype=bool)
+        valid[10] = True
+        cmap = CorrespondenceMap(identity_map(128, 128).coords, valid)
+        cfg = RansacConfig(iterations=MAX_ITERATIONS, min_inliers=0)
+        tracemalloc.start()
+        try:
+            model, _ = ransac_homography(cmap, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model is None
+        assert peak < 176 * 2 ** 20
 
     @pytest.mark.parametrize("min_inliers", [0, 1, 2, 3])
-    def test_below_four_inliers_no_model(self, min_inliers):
+    def test_below_four_inliers_no_model(self, monkeypatch, min_inliers):
         cfg = RansacConfig(iterations=50, min_inliers=min_inliers)
+        drawn, _ = self.record_calls(monkeypatch)
         model, inliers = ransac_homography(self.one_row_map(), cfg)
+        # every hypothesis counts 0, so w < 1 and the draws run to the cap
+        assert len(drawn) == 50
         assert model is None
         assert inliers.bits.shape == (40, 40) and not inliers.bits.any()
 
