@@ -206,6 +206,14 @@ def _in_bounds(xs, ys, h: int, w: int) -> np.ndarray:
             & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
 
 
+def _corners(pos, n: int):
+    """Bilinear corners of positions in [0, n-1] on an n-pixel axis: the
+    lower pixel i0 (at most n-2, so position n-1 takes i0 = n-2 with weight
+    1), the upper pixel i1 and the upper weight pos - i0."""
+    i0 = np.minimum(np.floor(pos).astype(np.int64), max(n - 2, 0))
+    return i0, np.minimum(i0 + 1, n - 1), pos - i0
+
+
 def bilinear_sample_grid(values, xs, ys):
     """Vectorized bilinear sampling with an out-of-bounds validity mask.
 
@@ -216,15 +224,10 @@ def bilinear_sample_grid(values, xs, ys):
     ys = np.asarray(ys, dtype=np.float64)
     h, w = values.shape[:2]
     ok = _in_bounds(xs, ys, h, w)
-    cx = np.where(ok, xs, 0.0)
-    cy = np.where(ok, ys, 0.0)
-    x0 = np.minimum(np.floor(cx).astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(np.floor(cy).astype(np.int64), max(h - 2, 0))
-    fx = cx - x0
-    fy = cy - y0
-    x1 = np.minimum(x0 + 1, w - 1)
+    x0, x1, fx = _corners(np.where(ok, xs, 0.0), w)
+    y0, y1, fy = _corners(np.where(ok, ys, 0.0), h)
     row0 = y0 * w
-    row1 = np.minimum(y0 + 1, h - 1) * w
+    row1 = y1 * w
     if values.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
@@ -255,7 +258,8 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
     """Separable bilinear resampling of a (H, W) or (H, W, C) grid onto the
     half-pixel tensor grid, rows first, in the grid's own dtype.
 
-    Always returns a new array.  Target dimensions below 1 raise ValueError.
+    Always returns a new array, interpolated at every size (at the grid's
+    own size each weight is 0 or 1).  Target dims below 1 raise ValueError.
     """
     if new_h < 1 or new_w < 1:
         raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
@@ -263,20 +267,16 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
 
 
 def _resize_rows(v: np.ndarray, new_h: int, new_w: int, r0: int, r1: int) -> np.ndarray:
-    """Rows r0:r1 of resize_grid(v, new_h, new_w) for a C-contiguous v; each
-    output pixel is computed as in the whole grid."""
+    """Rows r0:r1 of resize_grid(v, new_h, new_w) for a C-contiguous v, as a
+    new array; each output pixel is computed as in the whole grid."""
     h, w = v.shape[:2]
-    if (new_h, new_w) == (h, w):
-        return v[r0:r1].copy()
-    ys = half_pixel_axis(h, new_h)[r0:r1]
-    xs = half_pixel_axis(w, new_w)
-    y0 = np.minimum(np.floor(ys).astype(np.int64), max(h - 2, 0))
-    x0 = np.minimum(np.floor(xs).astype(np.int64), max(w - 2, 0))
+    y0, y1, fy = _corners(half_pixel_axis(h, new_h)[r0:r1], h)
+    x0, x1, fx = _corners(half_pixel_axis(w, new_w), w)
     trail = (1,) * (v.ndim - 2)
-    fy = (ys - y0).astype(v.dtype).reshape((-1, 1) + trail)
-    fx = (xs - x0).astype(v.dtype).reshape((-1,) + trail)
-    rows = v[y0] * (1 - fy) + v[np.minimum(y0 + 1, h - 1)] * fy
-    return rows[:, x0] * (1 - fx) + rows[:, np.minimum(x0 + 1, w - 1)] * fx
+    fy = fy.astype(v.dtype).reshape((-1, 1) + trail)
+    fx = fx.astype(v.dtype).reshape((-1,) + trail)
+    rows = v[y0] * (1 - fy) + v[y1] * fy
+    return rows[:, x0] * (1 - fx) + rows[:, x1] * fx
 
 
 def _valid_samples(stacked: np.ndarray, ok=True):

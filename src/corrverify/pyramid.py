@@ -123,15 +123,10 @@ def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> tuple:
 
 
 def _normalize_rows(arr: np.ndarray) -> None:
-    """In-place per-pixel L2 normalization; zero vectors stay zero."""
-    sq = np.einsum("hwc,hwc->hw", arr, arr)
-    nrm = np.sqrt(sq, dtype=arr.dtype)[..., None]
-    ok = nrm > 1e-12
-    if ok.all():
-        np.divide(arr, nrm, out=arr)
-    else:
-        np.divide(arr, nrm, out=arr, where=ok)
-        arr[(nrm <= 1e-12)[..., 0]] = 0
+    """In-place per-pixel L2 normalization of non-negative values; a pixel
+    of norm at most 1e-12 is divided by inf, so it becomes +0."""
+    nrm = np.sqrt(np.einsum("hwc,hwc->hw", arr, arr), dtype=arr.dtype)[..., None]
+    np.divide(arr, np.where(nrm > 1e-12, nrm, np.inf), out=arr)
 
 
 def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:

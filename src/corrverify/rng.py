@@ -16,19 +16,19 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _integer_seed(seed) -> int:
-    """seed as an int; ValueError unless it is an integer (numbers.Integral,
-    not bool), where int() would truncate 1.7 and True and parse "5"."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError naming it unless it is an integer
+    (numbers.Integral, not bool): int() would truncate 1.7 and True, parse "5"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def derive_seed(master_seed: int, *path) -> int:
     """Stable 64-bit seed for the component named by ``path``; master_seed
     must be an integer (numbers.Integral, not bool) in [0, 2**64), else
     ValueError."""
-    seed = _integer_seed(master_seed)
+    seed = _integer(master_seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must lie in [0, 2**64)")
     h = hashlib.sha256()
@@ -57,7 +57,7 @@ class Lcg64:
     INC = 1442695040888963407
 
     def __init__(self, seed: int):
-        self.state = (_integer_seed(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (_integer(seed, "seed") ^ 0x9E3779B97F4A7C15) & _MASK64
         # one warm-up step decorrelates small seeds
         self._step()
 

@@ -194,31 +194,21 @@ def _tps_invert(spec: WarpSpec, pts: np.ndarray):
     """Dense Newton inversion of the forward TPS map."""
     tps = _tps_solve(spec)
     x = pts.copy()
-    active = np.ones(len(pts), dtype=bool)
+    idx = np.arange(len(pts))  # the points still iterating
     for _ in range(NEWTON_MAX_ITER):
-        if not active.any():
+        if not len(idx):
             break
-        f, jac = _tps_eval(tps, x[active], jacobian=True)
-        r = f - pts[active]
-        err = np.abs(r).max(axis=1)
-        still = err > NEWTON_TOL
-        idx = np.nonzero(active)[0]
-        active[idx[~still]] = False
-        if not still.any():
-            break
-        sub = idx[still]
-        jac = jac[still]
+        f, jac = _tps_eval(tps, x[idx], jacobian=True)
+        r = f - pts[idx]
+        still = np.abs(r).max(axis=1) > NEWTON_TOL
+        idx, jac, r = idx[still], jac[still], r[still]
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        ok = np.abs(det) > 1e-12
-        det = np.where(ok, det, 1.0)
-        rr = r[still]
-        dx = (jac[:, 1, 1] * rr[:, 0] - jac[:, 0, 1] * rr[:, 1]) / det
-        dy = (-jac[:, 1, 0] * rr[:, 0] + jac[:, 0, 0] * rr[:, 1]) / det
-        step = np.clip(np.stack([dx, dy], axis=1), -32.0, 32.0)
-        step[~ok] = 0.0
-        x[sub] -= step
         # singular-Jacobian points cannot make progress
-        active[sub[~ok]] = False
+        ok = np.abs(det) > 1e-12
+        idx, jac, r, det = idx[ok], jac[ok], r[ok], det[ok]
+        dx = (jac[:, 1, 1] * r[:, 0] - jac[:, 0, 1] * r[:, 1]) / det
+        dy = (-jac[:, 1, 0] * r[:, 0] + jac[:, 0, 0] * r[:, 1]) / det
+        x[idx] -= np.clip(np.stack([dx, dy], axis=1), -32.0, 32.0)
 
     f, _ = _tps_eval(tps, x)
     resid = np.abs(f - pts).max(axis=1)

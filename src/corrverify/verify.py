@@ -23,7 +23,6 @@ and empty I and C.  S and S_F are bitwise those of a full run.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,9 +36,10 @@ from .core import (
     bilinear_sample_grid,
     sample_map,
 )
-from .rng import Lcg64
+from .rng import Lcg64, _integer
 
-DEFAULT_CYCLIC_EPSILON = 2.0
+# how far, in pixels, a forward-backward round trip may land from its start
+CYCLIC_EPSILON = 2.0
 
 
 class DegenerateModelError(ValueError):
@@ -293,9 +293,10 @@ class RansacConfig:
     bool): iterations lies in [1, MAX_ITERATIONS], min_inliers is >= 0 and
     seed is any integer.  iterations caps the hypotheses drawn: RANSAC
     stops after FIRST_ROUND draws when one of them explains every probe
-    pixel.  inlier_threshold (symmetric transfer distance, pixels) is
-    finite and positive.  A model needs max(4, min_inliers) inliers on the
-    sampling subgrid: at least 4, whatever min_inliers is.
+    pixel.  inlier_threshold (symmetric transfer distance, pixels) is a
+    finite positive int or float (Python or numpy, not bool).  A model needs
+    max(4, min_inliers) inliers on the sampling subgrid: at least 4, whatever
+    min_inliers is.  Any other value raises ValueError.
     """
 
     iterations: int = 1000
@@ -305,13 +306,13 @@ class RansacConfig:
 
     def __post_init__(self):
         for name in ("iterations", "min_inliers", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
-        if not 0 < self.inlier_threshold < math.inf:
-            raise ValueError("inlier_threshold must be finite and positive")
+        t = self.inlier_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) \
+                or not 0 < t < math.inf:
+            raise ValueError(f"inlier_threshold must be finite and positive, got {t!r}")
         if self.min_inliers < 0:
             raise ValueError("min_inliers must be >= 0")
 
@@ -323,6 +324,15 @@ def _map_correspondences(cmap: CorrespondenceMap, stride: int):
     coords = cmap.coords[::stride, ::stride][ys, xs]
     pts = np.stack([xs * stride, ys * stride], axis=1).astype(np.float64)
     return pts, coords
+
+
+def _collinear(pts: np.ndarray) -> bool:
+    """Whether all points lie on one line: the cross products of their
+    differences from pts[0] with the largest one (L1) are all exactly 0,
+    which is exact for integer grid positions."""
+    x, y = (pts - pts[0]).T
+    k = np.argmax(np.abs(x) + np.abs(y))
+    return not np.any(x * y[k] - y * x[k])
 
 
 def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
@@ -337,12 +347,13 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     PRESCREEN_KEEP best of all drawn hypotheses are counted on the subgrid,
     and the best of them (ties to the earlier draw) is refit with DLT on its
     inliers; the reported mask holds the refit model's inliers over all
-    valid pixels.
+    valid pixels.  If the subgrid positions or their source coordinates are
+    collinear, every draw is degenerate: no model, and nothing is drawn.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
     n = len(pts)
-    if n < max(4, config.min_inliers):
+    if n < max(4, config.min_inliers) or _collinear(pts) or _collinear(coords):
         return None, empty
 
     rng = Lcg64(config.seed)
@@ -390,24 +401,20 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 # cyclic consistency
 # ---------------------------------------------------------------------------
 
-def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap,
-                epsilon: float = DEFAULT_CYCLIC_EPSILON) -> Mask:
+def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap) -> Mask:
     """Pixels of o_ab's grid whose forward-backward composition returns home.
 
     Pixel p is set iff o_ab[p] is valid, o_ba can be sampled at o_ab[p]
     (in bounds, all contributing pixels valid), and the composed coordinate
-    lies within epsilon of p.  A map with no valid pixel gives the empty
-    mask straight away; otherwise every row is checked in one pass.
-    epsilon must lie in [0, inf), else ValueError.
+    lies within CYCLIC_EPSILON pixels of p.  A map with no valid pixel gives
+    the empty mask straight away; otherwise every row is checked in one pass.
     """
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must lie in [0, inf)")
     if not o_ab.valid.any():
         return Mask(o_ab.valid)
     back, ok = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])
     gx, gy = np.meshgrid(np.arange(o_ab.width, dtype=np.float64),
                          np.arange(o_ab.height, dtype=np.float64))
-    home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= epsilon
+    home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= CYCLIC_EPSILON
     return Mask(o_ab.valid & ok & home)
 
 

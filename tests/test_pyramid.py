@@ -259,8 +259,10 @@ PYRAMIDS = {"texture": texture_pyramid, "zero_level": zero_level_pyramid,
 # sha256 of extract_hypercolumn(...).values, computed before the hypercolumn
 # was built in row blocks.  43 rows of a 480-wide grid are one block at
 # HYPERCOLUMN_BLOCK_BYTES; 86 rows give each half one block.  (240, 240)
-# equals the finest level, which _resize_rows copies.  The all-zero level
-# and the black image take the degenerate-norm path.
+# equals the finest level, which _resize_rows interpolates with weights of
+# exactly 0 and 1, giving the level's own values.  The all-zero level
+# and the black image have zero-norm pixels, which _normalize_rows divides
+# by inf to +0.
 HYPERCOLUMN_DIGESTS = [
     ("texture", 141, (480, 480), "fe564b9aee4e1822cc276f14b6f6ffe199f54be05a40f583a1d662b71c24bca3"),
     ("texture", 141, (96, 96), "4a95258414edf2268497321a084341b1ace1fb27a842eb74263f02ae26c75bc7"),

@@ -202,6 +202,86 @@ class TestWarpJacobian:
         assert np.abs(got - spec.params["targets"]).max() < 1e-9
 
 
+def tps_invert_oracle(spec, pts):
+    """The Newton inverse as it was written with a boolean active mask and
+    a masked step, kept as the oracle of synth._tps_invert."""
+    tps = synth._tps_solve(spec)
+    x = pts.copy()
+    active = np.ones(len(pts), dtype=bool)
+    for _ in range(synth.NEWTON_MAX_ITER):
+        if not active.any():
+            break
+        f, jac = synth._tps_eval(tps, x[active], jacobian=True)
+        r = f - pts[active]
+        still = np.abs(r).max(axis=1) > synth.NEWTON_TOL
+        idx = np.nonzero(active)[0]
+        active[idx[~still]] = False
+        if not still.any():
+            break
+        sub = idx[still]
+        jac = jac[still]
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        ok = np.abs(det) > 1e-12
+        det = np.where(ok, det, 1.0)
+        rr = r[still]
+        dx = (jac[:, 1, 1] * rr[:, 0] - jac[:, 0, 1] * rr[:, 1]) / det
+        dy = (-jac[:, 1, 0] * rr[:, 0] + jac[:, 0, 0] * rr[:, 1]) / det
+        step = np.clip(np.stack([dx, dy], axis=1), -32.0, 32.0)
+        step[~ok] = 0.0
+        x[sub] -= step
+        active[sub[~ok]] = False
+    f, _ = synth._tps_eval(tps, x)
+    resid = np.abs(f - pts).max(axis=1)
+    good = np.isfinite(resid) & (resid <= 10 * synth.NEWTON_TOL)
+    x[~good] = 0.0
+    return x, good
+
+
+def folding_tps(size=64, shift=(40.0, 20.0)):
+    """A 3x3-control TPS on a size^2 frame whose centre target moves by
+    shift: the map folds, so Newton stalls or meets a singular Jacobian."""
+    gx, gy = np.meshgrid(np.linspace(0, size - 1.0, 3), np.linspace(0, size - 1.0, 3))
+    controls = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    targets = controls.copy()
+    targets[4] += shift
+    return WarpSpec("tps", {"controls": controls, "targets": targets}, 0, 1.0, size, size)
+
+
+class TestTpsNewtonInverse:
+    """The Newton inverse's coordinates and ok flags equal the oracle's bit
+    for bit, at its converged, empty and non-converged exits."""
+
+    @staticmethod
+    def assert_matches_oracle(spec, pts):
+        got, ok = inverse_warp_points(spec, pts)
+        want, want_ok = tps_invert_oracle(spec, pts)
+        assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+        return got, ok
+
+    def test_random_tps_full_grid(self):
+        _, ok = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8),
+                                           grid_points(240, 240, step=1))
+        assert ok.mean() > 0.99
+
+    def test_empty_input(self):
+        got, ok = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8), np.empty((0, 2)))
+        assert got.shape == (0, 2) and ok.shape == (0,)
+
+    def test_folding_tps_leaves_points_not_ok(self):
+        # 654 points still iterate after NEWTON_MAX_ITER steps
+        _, ok = self.assert_matches_oracle(folding_tps(), grid_points(64, 64, step=1))
+        assert np.count_nonzero(~ok) == 654
+
+    def test_collapsing_tps_singular_jacobian(self):
+        # every target on y = 0: the Jacobian's second row is 0, so only the
+        # points of row 0 converge and the rest stop at a singular Jacobian
+        controls = folding_tps().params["controls"]
+        spec = WarpSpec("tps", {"controls": controls, "targets": controls * [1.0, 0.0]},
+                        0, 1.0, 64, 64)
+        _, ok = self.assert_matches_oracle(spec, grid_points(64, 64, step=1))
+        assert np.count_nonzero(ok) == 64
+
+
 class TestApplyWarp:
     def test_identity_spec_preserves_image_and_maps(self):
         img = make_texture(240, 240, seed=1)
@@ -298,12 +378,15 @@ class TestApplyWarp:
         img = make_texture(240, 240, seed=4)
         spec = random_warp(kind, 0.4, seed=31)
         _, gt_fwd, gt_bwd = apply_warp(img, spec)
-        mask = cyclic_mask(gt_fwd, gt_bwd, epsilon=0.5)
         # mutually valid = composition evaluable through both maps
-        _, back_ok = sample_map(gt_bwd, gt_fwd.coords[..., 0], gt_fwd.coords[..., 1])
-        mutual = (gt_fwd.valid & back_ok).sum()
-        assert mutual > 0
-        assert mask.count() / mutual >= 0.99
+        back, back_ok = sample_map(gt_bwd, gt_fwd.coords[..., 0], gt_fwd.coords[..., 1])
+        mutual = gt_fwd.valid & back_ok
+        assert mutual.sum() > 0
+        # the round trip lands within 0.5 px, a quarter of the cyclic tolerance
+        gx, gy = np.meshgrid(np.arange(240.0), np.arange(240.0))
+        home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= 0.5
+        assert (mutual & home).sum() / mutual.sum() >= 0.99
+        assert np.array_equal(cyclic_mask(gt_fwd, gt_bwd).bits & home, mutual & home)
 
     def test_frame_mismatch_rejected(self):
         img = make_texture(120, 120, seed=5)

@@ -441,7 +441,7 @@ def bruteforce_s_l(hyper_a, hyper_b, o_ab, mask):
 class TestCyclicMask:
     def test_identity_maps_all_set(self):
         ident = identity_map(32, 32)
-        assert cyclic_mask(ident, ident, 2.0).count() == 32 * 32
+        assert cyclic_mask(ident, ident).count() == 32 * 32
 
     def test_opposite_shifts_interior_set(self):
         h = w = 32
@@ -451,19 +451,19 @@ class TestCyclicMask:
             np.stack([gx + t, gy], axis=2), (h, w))
         bwd = CorrespondenceMap.from_coords(
             np.stack([gx - t, gy], axis=2), (h, w))
-        m = cyclic_mask(fwd, bwd, 0.5)
+        m = cyclic_mask(fwd, bwd)
         assert m.bits[:, : w - 5].all()
         assert not m.bits[:, w - 5 :].any()  # forward shift leaves the frame
 
     def test_random_backward_map_chance_level(self):
         h = w = 64
-        eps = 2.0
+        eps = verify.CYCLIC_EPSILON
         rng = np.random.default_rng(10)
         ident = identity_map(h, w)
         coords = np.stack(
             [rng.uniform(0, w - 1, (h, w)), rng.uniform(0, h - 1, (h, w))], axis=2)
         rand_bwd = CorrespondenceMap.from_coords(coords, (h, w))
-        frac = cyclic_mask(ident, rand_bwd, eps).count() / (h * w)
+        frac = cyclic_mask(ident, rand_bwd).count() / (h * w)
         expect = math.pi * eps * eps / (h * w)
         assert frac == pytest.approx(expect, abs=3 * math.sqrt(expect / (h * w)) + 2e-3)
 
@@ -485,17 +485,6 @@ class TestCyclicMask:
         assert ok[4, 4] and np.array_equal(got[4, 4], [2.0, 2.0])
         assert np.array_equal(cyclic_mask(m, m).bits, cyclic_mask(ref, ref).bits)
         assert cyclic_mask(m, m).count() == 35
-
-    @pytest.mark.parametrize("epsilon", [np.nan, -1.0, np.inf])
-    def test_bad_epsilon_rejected(self, epsilon):
-        # nan or a negative epsilon would give the empty mask, so S = 0
-        ident = identity_map(8, 8)
-        with pytest.raises(ValueError, match="epsilon"):
-            cyclic_mask(ident, ident, epsilon)
-
-    def test_zero_epsilon_identity_all_set(self):
-        ident = identity_map(8, 8)
-        assert cyclic_mask(ident, ident, 0.0).count() == 64
 
 
 def gt_maps_for(kind, seed, magnitude=0.4):
@@ -650,15 +639,15 @@ class TestRansac:
         assert len(drawn) == 5 and model is not None
 
     def test_memory_bounded_at_cap(self):
-        # a map without inliers draws to the cap, and RANSAC holds all
-        # MAX_ITERATIONS hypotheses at once.  The peak measured 158.2 MiB
-        # (numpy 2.4); the bound leaves 10% for numpy versions whose SVD
-        # and DLT temporaries differ, and still fails if the hypotheses
-        # were held twice
-        valid = np.zeros((128, 128), dtype=bool)
-        valid[10] = True
-        cmap = CorrespondenceMap(identity_map(128, 128).coords, valid)
-        cfg = RansacConfig(iterations=MAX_ITERATIONS, min_inliers=0)
+        # a map without a model draws to the cap, and RANSAC holds all
+        # MAX_ITERATIONS hypotheses at once.  Uniform random coordinates are
+        # not collinear, and no hypothesis reaches 1000 inliers.  The peak
+        # measured 158.3 MiB (numpy 2.4); the bound leaves 10% for numpy
+        # versions whose SVD and DLT temporaries differ, and still fails if
+        # the hypotheses were held twice
+        rng = np.random.default_rng(0)
+        cmap = CorrespondenceMap.from_coords(rng.uniform(0, 127, (128, 128, 2)), (128, 128))
+        cfg = RansacConfig(iterations=MAX_ITERATIONS, min_inliers=1000)
         tracemalloc.start()
         try:
             model, _ = ransac_homography(cmap, cfg)
@@ -673,10 +662,46 @@ class TestRansac:
         cfg = RansacConfig(iterations=50, min_inliers=min_inliers)
         drawn, _ = self.record_calls(monkeypatch)
         model, inliers = ransac_homography(self.one_row_map(), cfg)
-        # every hypothesis counts 0, so w < 1 and the draws run to the cap
-        assert len(drawn) == 50
+        # every subgrid position lies on one row, so no draw is made
+        assert len(drawn) == 0
         assert model is None
         assert inliers.bits.shape == (40, 40) and not inliers.bits.any()
+
+    @pytest.mark.parametrize("min_inliers", [0, 1, 2, 3])
+    def test_degenerate_draws_below_four_inliers_no_model(self, monkeypatch, min_inliers):
+        # source coordinates take three values, not on one line: RANSAC
+        # draws, but 4 points sent to 3 fit no homography, so every
+        # hypothesis is nan, counts 0 < 4 and the draws run to the cap
+        tri = np.array([[5.0, 5.0], [30.0, 8.0], [12.0, 33.0]])
+        gx, gy = np.meshgrid(np.arange(40), np.arange(40))
+        cmap = CorrespondenceMap(tri[(gx + 2 * gy) % 3], np.ones((40, 40), dtype=bool))
+        drawn, _ = self.record_calls(monkeypatch)
+        model, inliers = ransac_homography(cmap, RansacConfig(iterations=50, min_inliers=min_inliers))
+        assert len(drawn) == 50
+        assert model is None and not inliers.bits.any()
+
+    @pytest.mark.parametrize("valid_rows, coords", [
+        (slice(10, 11), "identity"), (slice(10, 11), "random"),
+        (slice(None), "horizontal"), (slice(None), "point")])
+    def test_collinear_subgrid_returns_what_drawing_gives(self, monkeypatch, valid_rows, coords):
+        # positions on one row, or source coordinates on one line: each of
+        # 50 quads of the stream fits a nan model, so drawing would count no
+        # inlier and return no model, which RANSAC returns without drawing
+        gx, gy = np.meshgrid(np.arange(40.0), np.arange(40.0))
+        xy = {"identity": np.dstack([gx, gy]),
+              "random": np.random.default_rng(5).uniform(0, 39, (40, 40, 2)),
+              "horizontal": np.dstack([gx, np.full((40, 40), 5.0)]),
+              "point": np.full((40, 40, 2), 7.0)}[coords]
+        valid = np.zeros((40, 40), dtype=bool)
+        valid[valid_rows] = True
+        cmap = CorrespondenceMap(xy, valid)
+        pts, src = _map_correspondences(cmap, verify.SAMPLE_STRIDE)
+        rng = Lcg64(0)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(50)])
+        assert np.isnan(_batch_dlt(pts[quads], src[quads])).all()
+        drawn, _ = self.record_calls(monkeypatch)
+        model, inliers = ransac_homography(cmap, RansacConfig(iterations=50, min_inliers=0))
+        assert model is None and not inliers.bits.any() and len(drawn) == 0
 
     def test_below_four_inliers_pair_scores_zero(self, monkeypatch):
         cmap = self.one_row_map()
@@ -694,7 +719,8 @@ class TestRansacConfig:
         ("inlier_threshold", math.inf), ("min_inliers", -1),
         ("iterations", 10.5), ("iterations", 1000.0), ("iterations", True),
         ("min_inliers", 2.5), ("min_inliers", False), ("seed", 1.5), ("seed", None),
-        ("seed", np.float64(1.0))])
+        ("seed", np.float64(1.0)), ("inlier_threshold", True), ("inlier_threshold", "3"),
+        ("inlier_threshold", None)])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             RansacConfig(**{field: value})
