@@ -24,6 +24,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str):
+    """value unchanged; ValueError naming it unless it is a real number
+    (numbers.Real, not bool): comparing "3" or None would raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def derive_seed(master_seed: int, *path) -> int:
     """Stable 64-bit seed for the component named by ``path``; master_seed
     must be an integer (numbers.Integral, not bool) in [0, 2**64), else

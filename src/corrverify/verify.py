@@ -36,7 +36,7 @@ from .core import (
     bilinear_sample_grid,
     sample_map,
 )
-from .rng import Lcg64, _integer
+from .rng import Lcg64, _integer, _real
 
 # how far, in pixels, a forward-backward round trip may land from its start
 CYCLIC_EPSILON = 2.0
@@ -294,7 +294,7 @@ class RansacConfig:
     seed is any integer.  iterations caps the hypotheses drawn: RANSAC
     stops after FIRST_ROUND draws when one of them explains every probe
     pixel.  inlier_threshold (symmetric transfer distance, pixels) is a
-    finite positive int or float (Python or numpy, not bool).  A model needs
+    finite positive real number (numbers.Real, not bool).  A model needs
     max(4, min_inliers) inliers on the sampling subgrid: at least 4, whatever
     min_inliers is.  Any other value raises ValueError.
     """
@@ -309,10 +309,8 @@ class RansacConfig:
             _integer(getattr(self, name), name)
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
-        t = self.inlier_threshold
-        if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) \
-                or not 0 < t < math.inf:
-            raise ValueError(f"inlier_threshold must be finite and positive, got {t!r}")
+        if not 0 < _real(self.inlier_threshold, "inlier_threshold") < math.inf:
+            raise ValueError("inlier_threshold must be finite and positive")
         if self.min_inliers < 0:
             raise ValueError("min_inliers must be >= 0")
 
@@ -324,15 +322,6 @@ def _map_correspondences(cmap: CorrespondenceMap, stride: int):
     coords = cmap.coords[::stride, ::stride][ys, xs]
     pts = np.stack([xs * stride, ys * stride], axis=1).astype(np.float64)
     return pts, coords
-
-
-def _collinear(pts: np.ndarray) -> bool:
-    """Whether all points lie on one line: the cross products of their
-    differences from pts[0] with the largest one (L1) are all exactly 0,
-    which is exact for integer grid positions."""
-    x, y = (pts - pts[0]).T
-    k = np.argmax(np.abs(x) + np.abs(y))
-    return not np.any(x * y[k] - y * x[k])
 
 
 def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
@@ -347,13 +336,12 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     PRESCREEN_KEEP best of all drawn hypotheses are counted on the subgrid,
     and the best of them (ties to the earlier draw) is refit with DLT on its
     inliers; the reported mask holds the refit model's inliers over all
-    valid pixels.  If the subgrid positions or their source coordinates are
-    collinear, every draw is degenerate: no model, and nothing is drawn.
+    valid pixels.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
     n = len(pts)
-    if n < max(4, config.min_inliers) or _collinear(pts) or _collinear(coords):
+    if n < max(4, config.min_inliers):
         return None, empty
 
     rng = Lcg64(config.seed)
