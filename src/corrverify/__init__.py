@@ -2,7 +2,8 @@
 verification (cyclic consistency + RANSAC homography) and the staged
 similarity re-ranking it supports.
 
-The package is organized as a numpy library:
+The package is organized as a numpy library; numpy is its only runtime
+dependency:
 
 * :mod:`corrverify.core` -- value types, bilinear sampling, file I/O
 * :mod:`corrverify.pyramid` -- dense descriptor pyramid, hypercolumns,

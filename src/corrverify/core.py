@@ -20,9 +20,16 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+# a pass that walks rows or pixels in blocks to stay in cache keeps each
+# block's float64 working set to about this many bytes: S_L's gathered
+# planes (a 480^2 planar pair has ~215k masked pixels of 50 channels, 86 MB
+# per plane if gathered at once) and the descriptor window sum
+BLOCK_BYTES = 400 << 10
 
 
 class ParseError(ValueError):

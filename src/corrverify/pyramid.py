@@ -16,9 +16,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .core import (
+    BLOCK_BYTES,
     FeatureMap,
     GlobalDescriptor,
     Image,
@@ -54,10 +54,53 @@ def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     return np.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
+def _symmetric_taps(padded: np.ndarray, kernel: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """Symmetric-kernel correlation along axis 0 of ``padded``, which holds
+    r = len(kernel) // 2 extra rows at each end, into ``out``; ``scratch``
+    has out's shape."""
+    n = out.shape[0]
+    r = len(kernel) // 2
+    np.multiply(padded[r:r + n], kernel[r], out=out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=scratch)
+        scratch *= kernel[r - j]
+        out += scratch
+
+
 def _window_sum(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable weighted window sum, truncated at borders (zero outside)."""
-    tmp = correlate1d(arr, kernel, axis=0, mode="constant", cval=0.0)
-    return correlate1d(tmp, kernel, axis=1, mode="constant", cval=0.0)
+    """Separable weighted window sum of a float64 (H, W, ...) array with a
+    symmetric odd-length kernel, truncated at borders (zero outside): rows
+    first, then columns.
+
+    Along each axis every output is ``kernel[r] * x[i]``, then for j from
+    r down to 1 ``+= kernel[r - j] * (x[i - j] + x[i + j])``: the order in
+    which the ``correlate1d`` reference of tests/test_pyramid.py folds a
+    symmetric kernel.  Floating-point addition does not associate, so
+    another order would move the last bits of the descriptors and break the
+    digests pinned on them; keep it.
+    The rows are summed in blocks of about BLOCK_BYTES of output, so every
+    pass stays in cache; only the top and bottom blocks are copied to be
+    zero-padded.  The result does not depend on the block size.
+    """
+    h, w = arr.shape[:2]
+    r = len(kernel) // 2
+    step = max(1, BLOCK_BYTES // arr[0].nbytes)
+    out = np.empty(arr.shape)
+    cols = np.zeros((step, w + 2 * r) + arr.shape[2:])
+    scratch = np.empty((step,) + arr.shape[1:])
+    for b0 in range(0, h, step):
+        b1 = min(b0 + step, h)
+        n = b1 - b0
+        lo, hi = max(b0 - r, 0), min(b1 + r, h)
+        rows = arr[lo:hi]
+        if hi - lo < n + 2 * r:
+            rows = np.zeros((n + 2 * r,) + arr.shape[1:])
+            rows[lo - b0 + r:hi - b0 + r] = arr[lo:hi]
+        _symmetric_taps(rows, kernel, cols[:n, r:r + w], scratch[:n])
+        _symmetric_taps(cols[:n].swapaxes(0, 1), kernel, out[b0:b1].swapaxes(0, 1),
+                        scratch[:n].swapaxes(0, 1))
+    return out
 
 
 def dense_descriptors(gray: np.ndarray) -> FeatureMap:

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     CorrespondenceMap,
     FeatureMap,
     GlobalDescriptor,
@@ -450,13 +451,6 @@ def score_g(g_query: GlobalDescriptor, g_db: GlobalDescriptor) -> float:
     return float(np.linalg.norm(g_query.values - g_db.values))
 
 
-# S_L walks the masked pixels in blocks whose (block, channels) float64
-# planes hold at most this many bytes, so its working set is bounded by the
-# block whatever |C| and the channel count (a 480^2 planar pair has ~215k
-# masked pixels of 50 channels: 86 MB per plane if gathered at once).
-S_L_BLOCK_BYTES = 400 << 10
-
-
 def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
               mask: Mask) -> float:
     """Masked cosine-similarity sum between warped and target hypercolumns.
@@ -468,7 +462,7 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     extract_hypercolumn's do; neither this function nor read_fmap checks.
 
     The masked pixels are visited in row-major order, in blocks whose
-    (block, channels) float64 planes hold at most S_L_BLOCK_BYTES.  Each
+    (block, channels) float64 planes hold at most BLOCK_BYTES.  Each
     pixel's dot is stored, and the stored dots are summed once, in pixel
     order, so the result does not depend on the block size.
     """
@@ -482,7 +476,7 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     h, w, c = hyper_b.values.shape
     coords = o_ab.coords.reshape(h * w, 2)
     target = hyper_b.values.reshape(h * w, c)
-    step = max(1, S_L_BLOCK_BYTES // (8 * max(c, 1)))
+    step = max(1, BLOCK_BYTES // (8 * max(c, 1)))
     dots = np.empty(len(pixels))
     n = 0
     for i in range(0, len(pixels), step):

@@ -4,7 +4,10 @@ declared dependency and benchmark-traced layer must exist."""
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,17 @@ import corrverify
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+
+
+def documented_modules() -> list:
+    names = re.findall(r":mod:`(corrverify\.\w+)`", corrverify.__doc__)
+    assert names
+    return names
+
+
+def dependency_modules() -> set:
+    return {re.match(r"[A-Za-z0-9_.\-]+", requirement).group(0).lower().replace("-", "_")
+            for requirement in project_table()["dependencies"]}
 
 
 def project_table() -> dict:
@@ -24,10 +38,25 @@ def project_table() -> dict:
 
 
 def test_documented_modules_import():
-    names = re.findall(r":mod:`(corrverify\.\w+)`", corrverify.__doc__)
-    assert names
-    for name in names:
+    for name in documented_modules():
         importlib.import_module(name)
+
+
+def test_imports_no_undeclared_module():
+    # a fresh interpreter, so modules the test run already loaded do not
+    # hide any; the startup modules (site hooks preload some) are not counted
+    code = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *documented_modules()],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = {name.partition(".")[0] for name in json.loads(out)}
+    third_party = loaded - set(sys.stdlib_module_names)
+    assert third_party - {"corrverify"} - dependency_modules() == set()
 
 
 def test_package_root_reexports_nothing():
@@ -48,9 +77,8 @@ def test_script_entry_points_resolve():
 
 
 def test_declared_dependencies_import():
-    for requirement in project_table()["dependencies"]:
-        name = re.match(r"[A-Za-z0-9_.\-]+", requirement).group(0)
-        importlib.import_module(name.lower().replace("-", "_"))
+    for name in dependency_modules():
+        importlib.import_module(name)
 
 
 def test_benchmark_traced_layers_resolve():

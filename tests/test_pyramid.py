@@ -76,8 +76,7 @@ def per_bin_descriptors(img):
     kernel = np.exp(-(d * d) / (2.0 * GAUSSIAN_SIGMA * GAUSSIAN_SIGMA))
 
     def window_sum(arr):
-        tmp = correlate1d(arr, kernel, axis=0, mode="constant", cval=0.0)
-        return correlate1d(tmp, kernel, axis=1, mode="constant", cval=0.0)
+        return correlate1d_window_sum(arr, kernel)
 
     channels = [window_sum(mag * (w0 * (b0 == b) + w1 * (b1 == b))) for b in range(nb)]
     wsum = window_sum(np.ones((h, w)))
@@ -123,6 +122,41 @@ class TestDescriptorOracle:
             assert np.array_equal(fm.values, ref.values)
         assert np.array_equal(extract_hypercolumn(pyr, (96, 96)).values,
                               extract_hypercolumn(oracle, (96, 96)).values)
+
+
+def correlate1d_window_sum(arr, kernel):
+    tmp = correlate1d(arr, kernel, axis=0, mode="constant", cval=0.0)
+    return correlate1d(tmp, kernel, axis=1, mode="constant", cval=0.0)
+
+
+WINDOW_KERNEL = pyramid._gaussian_kernel(WINDOW_RADIUS, GAUSSIAN_SIGMA)
+
+
+class TestWindowSum:
+    """The numpy window sum adds in correlate1d's order, so it equals two
+    correlate1d calls bit for bit, at any block size."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("h", [1, 4, 5, 9, 10, 17])
+    @pytest.mark.parametrize("w", [1, 4, 9, 23])
+    def test_bitwise_equal_to_correlate1d(self, monkeypatch, rows, h, w):
+        # rows=1 gives one-row blocks, 7 a ragged last block from 9 rows on
+        if rows is not None:
+            monkeypatch.setattr(pyramid, "BLOCK_BYTES", rows * w * 3 * 8)
+        arr = np.random.default_rng(h * 100 + w).random((h, w, 3))
+        assert np.array_equal(pyramid._window_sum(arr, WINDOW_KERNEL),
+                              correlate1d_window_sum(arr, WINDOW_KERNEL))
+
+    @pytest.mark.parametrize("rows", [1, None])
+    def test_working_size_bitwise_equal(self, monkeypatch, rows):
+        # at the default budget a block is 19 rows, so the last of 240 holds 12
+        row = 240 * 11 * 8
+        assert pyramid.BLOCK_BYTES // row == 19
+        if rows is not None:
+            monkeypatch.setattr(pyramid, "BLOCK_BYTES", rows * row)
+        arr = np.random.default_rng(25).random((240, 240, 11))
+        assert np.array_equal(pyramid._window_sum(arr, WINDOW_KERNEL),
+                              correlate1d_window_sum(arr, WINDOW_KERNEL))
 
 
 class TestDenseDescriptors:

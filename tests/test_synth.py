@@ -76,6 +76,13 @@ class TestRandomWarp:
         assert np.array_equal(degenerate.params["matrix"], np.diag([0.0, 0.0, 1.0]))
         assert not invertibility_probe(degenerate)
 
+    @pytest.mark.parametrize("kind", ["affine", "homography", "tps"])
+    def test_no_invertible_draw_raises(self, monkeypatch, kind):
+        # no Jacobian determinant reaches inf, so every draw fails the probe
+        monkeypatch.setattr(synth, "MIN_JACOBIAN_DET", np.inf)
+        with pytest.raises(WarpGenerationError, match=rf"\b{kind} warp .* magnitude 0\.3\b"):
+            random_warp(kind, 0.3, seed=3)
+
     def test_bad_magnitude_rejected(self):
         with pytest.raises(ValueError):
             random_warp("affine", 1.5, seed=0)

@@ -351,7 +351,7 @@ class TestScoreSL:
 
     # block boundaries: B is the block size in pixels at 50 channels
     CHANNELS = 50
-    B = verify.S_L_BLOCK_BYTES // (8 * CHANNELS)
+    B = core.BLOCK_BYTES // (8 * CHANNELS)
 
     def block_fixture(self):
         """Fields on a (3B+7)-pixel grid whose map sends masked pixel 5 out
