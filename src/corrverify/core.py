@@ -42,19 +42,19 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Image:
-    """Intensity image, values in [0, 1], grayscale (H, W) or RGB (H, W, 3).
+    """Grayscale intensity image, (H, W), values in [0, 1].
 
     Pipeline entry points (resizing to the working resolution, pyramid
     construction) require at least 8x8 pixels; tiny images are still
-    representable so the file I/O round-trips anything a PNM file encodes.
+    representable so the file I/O round-trips anything a PGM file encodes.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if not (px.ndim == 2 or (px.ndim == 3 and px.shape[2] == 3)):
-            raise ValueError(f"image must be (H, W) or (H, W, 3), got {px.shape}")
+        if px.ndim != 2:
+            raise ValueError(f"image must be (H, W), got {px.shape}")
         px = px.copy()
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"empty image {px.shape}")
@@ -72,10 +72,6 @@ class Image:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return 1 if self.pixels.ndim == 2 else 3
 
 
 @dataclass(frozen=True)
@@ -310,18 +306,6 @@ def sample_map(cmap: CorrespondenceMap, xs, ys):
 # image operations
 # ---------------------------------------------------------------------------
 
-GRAY_WEIGHTS = (0.299, 0.587, 0.114)
-
-
-def to_grayscale(image: Image) -> Image:
-    if image.channels == 1:
-        return image
-    r, g, b = GRAY_WEIGHTS
-    px = image.pixels
-    gray = r * px[..., 0] + g * px[..., 1] + b * px[..., 2]
-    return Image(np.clip(gray, 0.0, 1.0))
-
-
 def resize_image(image: Image, new_h: int, new_w: int) -> Image:
     """Bilinear resampling with half-pixel (area-centered) mapping."""
     if new_h < 8 or new_w < 8:
@@ -356,7 +340,7 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM (binary P5 / P6, maxval 255)
+# PGM / PPM: reads binary P5 and P6, writes P5 (maxval 255)
 # ---------------------------------------------------------------------------
 
 def _read_pnm_token(buf: bytes, pos: int):
@@ -379,7 +363,12 @@ def _read_pnm_token(buf: bytes, pos: int):
     return buf[start:pos], pos
 
 
+GRAY_WEIGHTS = (0.299, 0.587, 0.114)
+
+
 def load_image(path) -> Image:
+    """Image of a binary PGM (P5) or PPM (P6) file, maxval 255; a P6
+    raster becomes luma via GRAY_WEIGHTS, clipped to [0, 1]."""
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 2:
@@ -408,15 +397,15 @@ def load_image(path) -> Image:
     if len(raster) < need:
         raise ParseError(f"truncated raster at byte {pos + len(raster)}")
     data = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return Image(data.reshape(height, width))
-    return Image(data.reshape(height, width, 3))
+    if channels == 3:
+        r, g, b = GRAY_WEIGHTS
+        data = np.clip(r * data[0::3] + g * data[1::3] + b * data[2::3], 0.0, 1.0)
+    return Image(data.reshape(height, width))
 
 
 def save_image(image: Image, path) -> None:
     q = np.rint(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
-    magic = b"P5" if image.channels == 1 else b"P6"
-    header = magic + b"\n%d %d\n255\n" % (image.width, image.height)
+    header = b"P5\n%d %d\n255\n" % (image.width, image.height)
     with open(path, "wb") as f:
         f.write(header)
         f.write(q)

@@ -24,7 +24,6 @@ from .core import (
     Image,
     _resize_rows,
     resize_image,
-    to_grayscale,
 )
 
 WORKING_SIZE = 240
@@ -153,13 +152,13 @@ def build_pyramid(image: Image, working_size: int = WORKING_SIZE) -> tuple:
     """Descriptor pyramid of an image at the working resolution: a tuple of
     ``FeatureMap``s, coarsest first.
 
-    The image is converted to grayscale and resized to working_size^2; level
-    images are produced by successive bilinear halving (an exact 2x2 box
-    average), which keeps coarse levels anti-aliased.
+    The grayscale image is resized to working_size^2; level images are
+    produced by successive bilinear halving (an exact 2x2 box average),
+    which keeps coarse levels anti-aliased.
     """
     if image.height < 8 or image.width < 8:
         raise ValueError("pyramid input must be at least 8x8")
-    images = [resize_image(to_grayscale(image), working_size, working_size)]
+    images = [resize_image(image, working_size, working_size)]
     for s in reversed(level_sizes(working_size)[:-1]):
         images.append(resize_image(images[-1], s, s))
     return tuple(dense_descriptors(im.pixels) for im in reversed(images))
@@ -172,11 +171,12 @@ def _normalize_rows(arr: np.ndarray) -> None:
     np.divide(arr, np.where(nrm > 1e-12, nrm, np.inf), out=arr)
 
 
-def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
+def extract_hypercolumn(pyramid: tuple, target_hw=None) -> FeatureMap:
     """Concatenated multi-level descriptors at one resolution, unit rows.
 
     ``pyramid`` is a tuple of ``FeatureMap``s, coarsest first.  Each level
-    is bilinearly upsampled to the target grid and per-pixel renormalized
+    is bilinearly upsampled to the target grid ``target_hw``, by default the
+    finest level's (height, width), and per-pixel renormalized
     before concatenation; the concatenated vector is normalized again so
     every pixel has L2 norm 1 within 1e-5, or is exactly zero where every
     upsampled level is zero.
@@ -193,7 +193,7 @@ def extract_hypercolumn(pyramid: tuple, target_hw=(480, 480)) -> FeatureMap:
     total_c = sum(fm.channels for fm in pyramid)
     if total_c == 0:
         raise ValueError("pyramid has no channels")
-    th, tw = target_hw
+    th, tw = (pyramid[-1].height, pyramid[-1].width) if target_hw is None else target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
     if th < ch or tw < cw:
         raise ValueError("target resolution must be at least the coarsest level")

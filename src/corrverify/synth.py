@@ -23,7 +23,6 @@ from .core import (
     resize_grid,
     resize_image,
     save_image,
-    to_grayscale,
     write_cmap,
 )
 from .pyramid import WORKING_SIZE
@@ -43,7 +42,7 @@ class WarpGenerationError(RuntimeError):
     """Rejection sampling failed to find an invertible warp."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WarpSpec:
     """A parametric warp of a fixed frame, plus its provenance.
 
@@ -73,18 +72,6 @@ class WarpSpec:
             if m.shape != (3, 3):
                 raise ValueError(f"{self.kind} matrix must be 3x3, got {m.shape}")
             object.__setattr__(self, "params", {**self.params, "matrix": m})
-
-    def __eq__(self, other) -> bool:
-        """Equal iff the to_dict() outputs are equal (params hold arrays,
-        which the generated field-by-field comparison cannot compare)."""
-        if not isinstance(other, WarpSpec):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:
-        # params are left out: equal specs still hash equal
-        d = self.to_dict()
-        return hash((d["kind"], d["seed"], d["magnitude"], d["frame_h"], d["frame_w"]))
 
     def to_dict(self) -> dict:
         return {
@@ -386,7 +373,7 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
     (out / "gt").mkdir(parents=True, exist_ok=True)
 
     def prep(img: Image) -> Image:
-        return resize_image(to_grayscale(img), working_size, working_size)
+        return resize_image(img, working_size, working_size)
 
     queries = []
     database = []

@@ -420,6 +420,8 @@ class VerificationResult:
     consistent_mask: Mask               # C = cyclic AND I
 
     def __post_init__(self):
+        if self.consistent_mask.bits.shape != self.inlier_mask.bits.shape:
+            raise ValueError("consistent and inlier masks must share one grid")
         if (self.consistent_mask.bits & ~self.inlier_mask.bits).any():
             raise ValueError("consistent mask must be a subset of the inlier mask")
 

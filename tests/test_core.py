@@ -30,7 +30,6 @@ from corrverify.core import (
     resize_image,
     sample_map,
     save_image,
-    to_grayscale,
     write_cmap,
     write_fmap,
     write_gdsc,
@@ -113,10 +112,10 @@ class TestImageType:
         with pytest.raises(ValueError):
             Image(np.full((8, 8), np.nan))
 
-    def test_grayscale_weights(self):
-        px = np.zeros((8, 8, 3))
-        px[..., 0] = 1.0
-        assert to_grayscale(Image(px)).pixels[0, 0] == pytest.approx(0.299)
+    def test_rejects_rgb(self):
+        # colour enters only through load_image, which reduces it to luma
+        with pytest.raises(ValueError, match=r"\(H, W\)"):
+            Image(np.zeros((8, 8, 3)))
 
 
 class TestPnmIO:
@@ -136,14 +135,18 @@ class TestPnmIO:
         assert (tmp_path / "r.pgm").read_bytes() == (tmp_path / "r2.pgm").read_bytes()
         assert np.abs(back.pixels - img.pixels).max() <= 0.5 / 255 + 1e-12
 
-    def test_ppm_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        img = Image(rng.random((8, 8, 3)))
+    def test_ppm_loads_as_luma(self, tmp_path):
+        q = np.random.default_rng(6).integers(0, 256, (7, 9, 3), dtype=np.uint8)
+        q[0, :3] = [[255, 255, 255], [255, 0, 0], [0, 0, 0]]
         p = tmp_path / "c.ppm"
-        save_image(img, p)
+        p.write_bytes(b"P6\n9 7\n255\n" + q.tobytes())
+        px = q.astype(np.float64) / 255.0
+        r, g, b = core.GRAY_WEIGHTS
+        expect = np.clip(r * px[..., 0] + g * px[..., 1] + b * px[..., 2], 0.0, 1.0)
         back = load_image(p)
-        assert back.channels == 3
-        assert np.abs(back.pixels - img.pixels).max() <= 0.5 / 255 + 1e-12
+        assert back.pixels.shape == (7, 9)
+        assert back.pixels.tobytes() == expect.tobytes()
+        assert back.pixels[0, :3].tolist() == [pytest.approx(1.0), 0.299, 0.0]
 
     def test_maxval_rejected(self, tmp_path):
         p = tmp_path / "bad.ppm"
@@ -301,7 +304,8 @@ class TestWriterBytes:
                   + valid.astype(np.uint8).tobytes())
         assert (tmp_path / "m.cmap").read_bytes() == expect
 
-    @pytest.mark.parametrize("shape, magic", [((5, 7), b"P5"), ((4, 6, 3), b"P6")])
+    # P5 is the only format written; a P6 file loads as luma
+    @pytest.mark.parametrize("shape, magic", [((5, 7), b"P5")])
     def test_pnm(self, shape, magic, tmp_path):
         px = np.random.default_rng(43).random(shape)
         save_image(Image(px), tmp_path / "i.pnm")

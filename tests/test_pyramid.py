@@ -9,7 +9,7 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from corrverify import pyramid
-from corrverify.core import FeatureMap, Image, bilinear_sample_grid, resize_image, to_grayscale
+from corrverify.core import FeatureMap, Image, bilinear_sample_grid, resize_image
 from corrverify.pyramid import (
     GAUSSIAN_SIGMA,
     ORIENTATION_BINS,
@@ -112,7 +112,7 @@ class TestDescriptorOracle:
     @pytest.mark.parametrize("seed", range(2))
     def test_pyramid_and_hypercolumn_bitwise_equal(self, seed):
         pyr = build_pyramid(make_texture(200, 170, seed=seed))
-        working = resize_image(to_grayscale(make_texture(200, 170, seed=seed)), 240, 240)
+        working = resize_image(make_texture(200, 170, seed=seed), 240, 240)
         images = [working]
         for s in reversed(level_sizes(240)[:-1]):
             images.append(resize_image(images[-1], s, s))
@@ -271,6 +271,15 @@ class TestHypercolumn:
         fm = FeatureMap(np.zeros((15, 15, 0), np.float32))
         with pytest.raises(ValueError, match="no channels"):
             extract_hypercolumn((fm,))
+
+    def test_default_grid_is_finest_level(self):
+        pyr = build_pyramid(make_texture(150, 130, seed=34), working_size=128)
+        hyper = extract_hypercolumn(pyr)
+        assert hyper.values.shape == (128, 128, 50)
+        assert np.array_equal(hyper.values, extract_hypercolumn(pyr, (128, 128)).values)
+        # a hand-built pyramid whose finest level is not square
+        levels = (self._unit_field(35, 5, 7, 3), self._unit_field(36, 10, 14, 4))
+        assert extract_hypercolumn(levels).values.shape == (10, 14, 7)
 
 
 def texture_pyramid(seed):

@@ -154,40 +154,6 @@ class TestWarpSpecMatrix:
         assert np.array_equal(back.params["matrix"], spec.params["matrix"])
 
 
-class TestWarpSpecEquality:
-    def test_same_draw_equal_and_hash_equal(self):
-        a, b = random_warp("affine", 0.3, 1), random_warp("affine", 0.3, 1)
-        assert a is not b
-        assert a == b and not a != b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_one_matrix_entry_differs(self):
-        a = random_warp("affine", 0.3, 1)
-        m = a.params["matrix"].copy()
-        m[0, 2] += 1e-9
-        b = WarpSpec(a.kind, {"matrix": m}, seed=a.seed, magnitude=a.magnitude)
-        assert a != b and not a == b
-
-    def test_only_seed_differs(self):
-        a = random_warp("affine", 0.3, 1)
-        b = WarpSpec(a.kind, {"matrix": a.params["matrix"].copy()}, seed=a.seed + 1,
-                     magnitude=a.magnitude)
-        assert a != b
-
-    def test_affine_2x3_equals_its_lift(self):
-        m = random_warp("affine", 0.3, 1).params["matrix"]
-        short = WarpSpec("affine", {"matrix": m[:2]}, seed=3, magnitude=0.3)
-        lifted = WarpSpec("affine", {"matrix": m}, seed=3, magnitude=0.3)
-        assert short == lifted and hash(short) == hash(lifted)
-
-    def test_tps_and_other_types(self):
-        a, b = random_warp("tps", 0.4, 9), random_warp("tps", 0.4, 9)
-        assert a == b and hash(a) == hash(b)
-        assert a != random_warp("tps", 0.4, 10)
-        assert a != a.to_dict() and a != 1
-
-
 class TestWarpJacobian:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["tps", "homography"])

@@ -36,6 +36,7 @@ from corrverify.verify import (
     DegenerateModelError,
     Homography,
     RansacConfig,
+    VerificationResult,
     _batch_dlt,
     _count_inliers,
     _map_correspondences,
@@ -826,6 +827,19 @@ class TestScoreInvariants:
                 assert a.homography.matrix.tobytes() == r.homography.matrix.tobytes()
 
 
+class TestVerificationResult:
+    def test_masks_on_different_grids_rejected(self):
+        # the C-subset-of-I check broadcasts a (1, 5) mask against (4, 5)
+        with pytest.raises(ValueError, match="one grid"):
+            VerificationResult(None, Mask(np.ones((4, 5), bool)), Mask(np.zeros((1, 5), bool)))
+
+    def test_consistent_outside_inliers_rejected(self):
+        bits = np.zeros((4, 5), bool)
+        bits[2, 3] = True
+        with pytest.raises(ValueError, match="subset"):
+            VerificationResult(None, Mask(np.zeros((4, 5), bool)), Mask(bits))
+
+
 class TestVerifyDirection:
     def test_consistent_subset_of_inliers(self):
         _, gt_fwd, gt_bwd = gt_maps_for("homography", seed=19)
@@ -845,6 +859,24 @@ class TestVerifyDirection:
         _, gt_fwd, gt_bwd = gt_maps_for("homography", seed=29, magnitude=0.3)
         s, r_ab, r_ba = score_pair_s(gt_fwd, gt_bwd, RansacConfig(seed=9))
         assert 0.2 <= s <= math.exp(-1) + 1e-9
+
+    def test_score_pair_beta_from_each_maps_grid(self):
+        # exact 2x scaling: o_ab on a 60x80 grid into a 30x40 frame, o_ba back
+        def scaled(h, w, sh, sw):
+            ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+            coords = np.dstack([core.half_pixel(xs, w, sw), core.half_pixel(ys, h, sh)])
+            return CorrespondenceMap.from_coords(coords, (sh, sw))
+
+        o_ab, o_ba = scaled(60, 80, 30, 40), scaled(30, 40, 60, 80)
+        cfg = RansacConfig(seed=3)
+        s, r_ab, r_ba = score_pair_s(o_ab, o_ba, cfg)
+        s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, 60 * 80)
+        s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, 30 * 40)
+        assert s_ab > 0.0 and s_ba > 0.0 and s == max(s_ab, s_ba)
+        # the betas swapped would give another S: the rule is observable here
+        assert s != max(score_s(r_ab.num_inliers, r_ab.num_consistent, 30 * 40),
+                        score_s(r_ba.num_inliers, r_ba.num_consistent, 60 * 80))
+        assert score_pair_s(o_ba, o_ab, cfg)[0] == s
 
     def test_symmetric_transfer_error_identity(self):
         h = Homography(np.eye(3))
