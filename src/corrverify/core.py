@@ -115,8 +115,8 @@ class CorrespondenceMap:
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=np.float64).copy()
         v = np.asarray(self.valid, dtype=bool).copy()
-        if c.ndim != 3 or c.shape[2] != 2:
-            raise ValueError(f"coords must be (H, W, 2), got {c.shape}")
+        if c.ndim != 3 or c.shape[2] != 2 or 0 in c.shape:
+            raise ValueError(f"coords must be (H, W, 2) with H, W >= 1, got {c.shape}")
         if v.shape != c.shape[:2]:
             raise ValueError("valid mask shape does not match coords grid")
         c[~v] = 0.0
@@ -155,8 +155,8 @@ class FeatureMap:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float32)
-        if v.ndim != 3:
-            raise ValueError(f"feature map must be (H, W, C), got {v.shape}")
+        if v.ndim != 3 or 0 in v.shape[:2]:
+            raise ValueError(f"feature map must be (H, W, C) with H, W >= 1, got {v.shape}")
         # min and max propagate nan and report +-inf, without the boolean
         # temporary of isfinite (11 MiB for a 480^2 x 50 hypercolumn)
         if v.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):

@@ -53,13 +53,13 @@ def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     return np.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
-def _symmetric_taps(padded: np.ndarray, kernel: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray) -> None:
+def _symmetric_taps(padded: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
     """Symmetric-kernel correlation along axis 0 of ``padded``, which holds
-    r = len(kernel) // 2 extra rows at each end, into ``out``; ``scratch``
-    has out's shape."""
+    r = len(kernel) // 2 extra rows at each end, into ``out``."""
     n = out.shape[0]
     r = len(kernel) // 2
+    # laid out as out is, which keeps the column pass's adds in stride
+    scratch = np.empty_like(out)
     np.multiply(padded[r:r + n], kernel[r], out=out)
     for j in range(r, 0, -1):
         np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=scratch)
@@ -67,10 +67,10 @@ def _symmetric_taps(padded: np.ndarray, kernel: np.ndarray, out: np.ndarray,
         out += scratch
 
 
-def _window_sum(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable weighted window sum of a float64 (H, W, ...) array with a
-    symmetric odd-length kernel, truncated at borders (zero outside): rows
-    first, then columns.
+def _window_sum(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Separable weighted window sum, rows then columns, of a float64 array
+    (H, W, ...) with a symmetric odd-length kernel; ``padded`` is the array
+    with its zero border of r = len(kernel) // 2 rows and columns each side.
 
     Along each axis every output is ``kernel[r] * x[i]``, then for j from
     r down to 1 ``+= kernel[r - j] * (x[i - j] + x[i + j])``: the order in
@@ -79,26 +79,16 @@ def _window_sum(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     another order would move the last bits of the descriptors and break the
     digests pinned on them; keep it.
     The rows are summed in blocks of about BLOCK_BYTES of output, so every
-    pass stays in cache; only the top and bottom blocks are copied to be
-    zero-padded.  The result does not depend on the block size.
+    pass stays in cache, and the result does not depend on the block size.
     """
-    h, w = arr.shape[:2]
     r = len(kernel) // 2
-    step = max(1, BLOCK_BYTES // arr[0].nbytes)
-    out = np.empty(arr.shape)
-    cols = np.zeros((step, w + 2 * r) + arr.shape[2:])
-    scratch = np.empty((step,) + arr.shape[1:])
-    for b0 in range(0, h, step):
-        b1 = min(b0 + step, h)
-        n = b1 - b0
-        lo, hi = max(b0 - r, 0), min(b1 + r, h)
-        rows = arr[lo:hi]
-        if hi - lo < n + 2 * r:
-            rows = np.zeros((n + 2 * r,) + arr.shape[1:])
-            rows[lo - b0 + r:hi - b0 + r] = arr[lo:hi]
-        _symmetric_taps(rows, kernel, cols[:n, r:r + w], scratch[:n])
-        _symmetric_taps(cols[:n].swapaxes(0, 1), kernel, out[b0:b1].swapaxes(0, 1),
-                        scratch[:n].swapaxes(0, 1))
+    out = np.empty((padded.shape[0] - 2 * r, padded.shape[1] - 2 * r) + padded.shape[2:])
+    step = max(1, BLOCK_BYTES // out[0].nbytes)
+    cols = np.empty((step,) + padded.shape[1:])
+    for b0 in range(0, len(out), step):
+        n = min(step, len(out) - b0)
+        _symmetric_taps(padded[b0:b0 + n + 2 * r], kernel, cols[:n])
+        _symmetric_taps(cols[:n].swapaxes(0, 1), kernel, out[b0:b0 + n].swapaxes(0, 1))
     return out
 
 
@@ -128,14 +118,17 @@ def dense_descriptors(gray: np.ndarray) -> FeatureMap:
     w0 = 1.0 - w1
     b1 = (b0 + 1) % nb
 
-    # one window-sum pass over the 8 orientation votes, the intensity, its
-    # square and the window weight; each pixel votes into exactly 2 bins
-    stack = np.zeros((h, w, nb + 3))
-    np.put_along_axis(stack, b0[..., None], (mag * w0)[..., None], axis=2)
-    np.put_along_axis(stack, b1[..., None], (mag * w1)[..., None], axis=2)
-    stack[..., nb] = img
-    stack[..., nb + 1] = img * img
-    stack[..., nb + 2] = 1.0
+    # one window-sum pass, on a stack that carries its border of r zeros, over
+    # the 8 orientation votes, the intensity, its square and the window
+    # weight; each pixel votes into exactly 2 bins
+    r = WINDOW_RADIUS
+    stack = np.zeros((h + 2 * r, w + 2 * r, nb + 3))
+    inner = stack[r:r + h, r:r + w]
+    np.put_along_axis(inner, b0[..., None], (mag * w0)[..., None], axis=2)
+    np.put_along_axis(inner, b1[..., None], (mag * w1)[..., None], axis=2)
+    inner[..., nb] = img
+    inner[..., nb + 1] = img * img
+    inner[..., nb + 2] = 1.0
     sums = _window_sum(stack, _gaussian_kernel(WINDOW_RADIUS, GAUSSIAN_SIGMA))
 
     wsum = sums[..., nb + 2]

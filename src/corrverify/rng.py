@@ -90,10 +90,8 @@ class Lcg64:
         if k > n:
             raise ValueError("cannot draw more distinct values than the range")
         out = []
-        seen = set()
         while len(out) < k:
             v = self.below(n)
-            if v not in seen:
-                seen.add(v)
+            if v not in out:
                 out.append(v)
         return out

@@ -103,14 +103,15 @@ def _tps_basis(pts: np.ndarray, controls: np.ndarray, gradient: bool = False):
     """Radial basis U = r^2 log r^2 of (N, 2) points against the (n, 2)
     controls, (N, n), and with ``gradient`` its x and y derivatives
     2 (p - c)(log r^2 + 1); U and both derivatives are 0 at r = 0."""
-    diff = pts[:, None, :] - controls[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
+    dx = pts[:, :1] - controls[:, 0]
+    dy = pts[:, 1:] - controls[:, 1]
+    d2 = dx * dx + dy * dy
     pos = d2 > 0
     log = np.log(d2, out=np.zeros_like(d2), where=pos)
     if not gradient:
         return d2 * log, None
     fac = np.where(pos, log + 1.0, 0.0)
-    return d2 * log, (2.0 * diff[..., 0] * fac, 2.0 * diff[..., 1] * fac)
+    return d2 * log, (2.0 * dx * fac, 2.0 * dy * fac)
 
 
 def _tps_solve(spec: WarpSpec):
@@ -170,7 +171,7 @@ def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
         out = project(np.linalg.inv(spec.params["matrix"]), pts)
-        # points mapped from behind the horizon are not preimages
+        # only |w| <= 1e-12 gives nan, so not ok; a preimage at w < 0 is ok
         ok = np.isfinite(out).all(axis=1)
         out[~ok] = 0.0
         return out, ok

@@ -437,10 +437,13 @@ class VerificationResult:
 def score_s(num_inliers: int, num_consistent: int, beta: float) -> float:
     """Structural similarity (|C|/|I|) * exp(-beta/|C|); 0 on empty sets.
 
-    C is a subset of I, so num_consistent > num_inliers raises ValueError.
+    C is a subset of I, so num_consistent > num_inliers raises ValueError,
+    as does a beta that is not a finite real >= num_consistent (S <= 1/e).
     """
     if num_consistent > num_inliers:
         raise ValueError(f"num_consistent {num_consistent} exceeds num_inliers {num_inliers}")
+    if not num_consistent <= _real(beta, "beta") < math.inf:
+        raise ValueError(f"beta {beta!r} must be finite and >= num_consistent {num_consistent}")
     if num_inliers <= 0 or num_consistent <= 0:
         return 0.0
     return (num_consistent / num_inliers) * math.exp(-beta / num_consistent)

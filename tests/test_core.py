@@ -118,6 +118,21 @@ class TestImageType:
             Image(np.zeros((8, 8, 3)))
 
 
+@pytest.mark.parametrize("hw", [(0, 5), (5, 0), (0, 0)])
+class TestEmptyGridRejected:
+    """Like Image, the map types reject a grid with no rows or no columns.
+    Unchecked, sample_map raised IndexError on such a map, and the global
+    descriptor of such a level took the mean of an empty slice."""
+
+    def test_feature_map(self, hw):
+        with pytest.raises(ValueError, match="H, W >= 1"):
+            FeatureMap(np.zeros(hw + (3,), np.float32))
+
+    def test_correspondence_map(self, hw):
+        with pytest.raises(ValueError, match="H, W >= 1"):
+            CorrespondenceMap(np.zeros(hw + (2,)), np.zeros(hw, dtype=bool))
+
+
 class TestPnmIO:
     def test_p5_scaling(self, tmp_path):
         p = tmp_path / "t.pgm"

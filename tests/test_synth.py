@@ -210,6 +210,46 @@ def tps_invert_oracle(spec, pts):
     return x, good
 
 
+def tps_basis_oracle(pts, controls, gradient=False):
+    """synth._tps_basis through the (N, n, 2) tensor of point-control
+    differences, reduced over its axis of 2."""
+    diff = pts[:, None, :] - controls[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    pos = d2 > 0
+    log = np.log(d2, out=np.zeros_like(d2), where=pos)
+    if not gradient:
+        return d2 * log, None
+    fac = np.where(pos, log + 1.0, 0.0)
+    return d2 * log, (2.0 * diff[..., 0] * fac, 2.0 * diff[..., 1] * fac)
+
+
+class TestTpsBasis:
+    """The plane-wise TPS kernel equals the difference-tensor oracle bit for
+    bit.  It is elementwise work, so unlike the TPS output pins this does
+    not depend on the BLAS kernel numpy picks."""
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    @pytest.mark.parametrize("controls", [
+        random_warp("tps", 0.5, seed=3).params["controls"],
+        np.random.default_rng(28).uniform(-10.0, 250.0, (7, 2)),
+    ], ids=["grid", "random"])
+    def test_matches_oracle(self, controls, gradient):
+        # random points, then the controls themselves, where r = 0
+        pts = np.concatenate([np.random.default_rng(29).uniform(-20.0, 260.0, (400, 2)),
+                              controls])
+        u, grad = synth._tps_basis(pts, controls, gradient)
+        want_u, want_grad = tps_basis_oracle(pts, controls, gradient)
+        assert np.array_equal(u, want_u)
+        on_control = np.eye(len(controls), dtype=bool)
+        assert (u[-len(controls):][on_control] == 0.0).all()
+        if not gradient:
+            assert grad is None
+            return
+        for got, want in zip(grad, want_grad):
+            assert np.array_equal(got, want)
+            assert (got[-len(controls):][on_control] == 0.0).all()
+
+
 def folding_tps(size=64, shift=(40.0, 20.0)):
     """A 3x3-control TPS on a size^2 frame whose centre target moves by
     shift: the map folds, so Newton stalls or meets a singular Jacobian."""

@@ -190,6 +190,15 @@ class TestScoreS:
         with pytest.raises(ValueError, match="exceeds num_inliers"):
             score_s(num_inliers, num_consistent, 10.0)
 
+    @pytest.mark.parametrize("num_inliers, num_consistent, beta", [
+        (10, 5, math.nan), (10, 5, -1e6), (10, 10, 1.0), (10, 5, math.inf), (10, 5, 4.999)])
+    def test_beta_below_consistent_or_not_finite_rejected(self, num_inliers, num_consistent,
+                                                          beta):
+        # unchecked, score_s(10, 5, nan) read nan, (10, 5, -1e6) raised
+        # OverflowError and (10, 10, 1.0) read 0.905 > 1/e
+        with pytest.raises(ValueError, match="beta"):
+            score_s(num_inliers, num_consistent, beta)
+
     def test_hand_evaluated_value(self):
         expect = 0.5 * math.exp(-115.2)
         assert score_s(1000, 500, 57600.0) == pytest.approx(expect, rel=1e-12)
@@ -873,9 +882,11 @@ class TestVerifyDirection:
         s_ab = score_s(r_ab.num_inliers, r_ab.num_consistent, 60 * 80)
         s_ba = score_s(r_ba.num_inliers, r_ba.num_consistent, 30 * 40)
         assert s_ab > 0.0 and s_ba > 0.0 and s == max(s_ab, s_ba)
-        # the betas swapped would give another S: the rule is observable here
-        assert s != max(score_s(r_ab.num_inliers, r_ab.num_consistent, 30 * 40),
-                        score_s(r_ba.num_inliers, r_ba.num_consistent, 60 * 80))
+        # the betas swapped would reject o_ab's |C|, above 30 * 40, and give
+        # o_ba another S: the rule is observable here
+        with pytest.raises(ValueError, match="beta"):
+            score_s(r_ab.num_inliers, r_ab.num_consistent, 30 * 40)
+        assert s_ba != score_s(r_ba.num_inliers, r_ba.num_consistent, 60 * 80)
         assert score_pair_s(o_ba, o_ab, cfg)[0] == s
 
     def test_symmetric_transfer_error_identity(self):
