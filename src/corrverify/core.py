@@ -113,13 +113,14 @@ class CorrespondenceMap:
     valid: np.ndarray   # (H, W) bool
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64).copy()
+        c = np.asarray(self.coords, dtype=np.float64)
         v = np.asarray(self.valid, dtype=bool).copy()
         if c.ndim != 3 or c.shape[2] != 2 or 0 in c.shape:
             raise ValueError(f"coords must be (H, W, 2) with H, W >= 1, got {c.shape}")
         if v.shape != c.shape[:2]:
             raise ValueError("valid mask shape does not match coords grid")
-        c[~v] = 0.0
+        # copy and zero in one pass: c[~v] = 0 would build an index array
+        c = np.where(v[..., None], c, 0.0)
         if not np.isfinite(c).all():
             raise ValueError("coords must be finite wherever valid")
         c.flags.writeable = False
@@ -203,46 +204,69 @@ class GlobalDescriptor:
 # ---------------------------------------------------------------------------
 
 def _in_bounds(xs, ys, h: int, w: int) -> np.ndarray:
-    """Positions that are finite and lie in [0, w-1] x [0, h-1]."""
+    """Positions that are finite and lie in [0, w-1] x [0, h-1] (nan fails
+    every comparison and +-inf one of them)."""
     with np.errstate(invalid="ignore"):
-        return np.isfinite(xs) & np.isfinite(ys) \
-            & (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+        return (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
 
 
 def _corners(pos, n: int):
     """Bilinear corners of positions in [0, n-1] on an n-pixel axis: the
     lower pixel i0 (at most n-2, so position n-1 takes i0 = n-2 with weight
-    1), the upper pixel i1 and the upper weight pos - i0."""
-    i0 = np.minimum(np.floor(pos).astype(np.int64), max(n - 2, 0))
-    return i0, np.minimum(i0 + 1, n - 1), pos - i0
+    1), the step to the upper pixel (0 on a one-pixel axis) and the upper
+    weight pos - i0.  Truncation is floor on [0, n-1]."""
+    i0 = np.minimum(pos.astype(np.int64), max(n - 2, 0))
+    return i0, int(n > 1), pos - i0
+
+
+def _stencil(xs, ys, h: int, w: int):
+    """Bilinear stencil of positions on an (h, w) grid: ok (in bounds), the
+    flat index of each (y0, x0) corner, the offsets from it to the (y0, x0),
+    (y0, x1), (y1, x0) and (y1, x1) corners, and the weights 1-fx, fx, 1-fy,
+    fy; positions not ok take those of (0, 0).  Empty grids raise ValueError."""
+    if h < 1 or w < 1:
+        raise ValueError(f"cannot sample an empty {h}x{w} grid")
+    xs, ys = (np.asarray(p, dtype=np.float64) for p in (xs, ys))
+    ok = _in_bounds(xs, ys, h, w)
+    x0, dx, fx = _corners(np.where(ok, xs, 0.0), w)
+    y0, dy, fy = _corners(np.where(ok, ys, 0.0), h)
+    y0 *= w
+    y0 += x0
+    return ok, y0, (0, dx, dy * w, dy * w + dx), (1.0 - fx, fx, 1.0 - fy, fy)
+
+
+def _interpolate(values, stencil) -> np.ndarray:
+    """The library's one bilinear gather: an (H, W) or (H, W, C) grid at a
+    _stencil of it, in float64, 0 where the stencil is not ok.  Each corner
+    is read with np.take from the (H*W, ...) rows, widened to float64 by one
+    copy (the corners, never the grid) and weighted in place, in three
+    float64 planes.  The pinned digests depend on this order, bit for bit:
+    ((v00*(1-fx) + v01*fx) * (1-fy)) + ((v10*(1-fx) + v11*fx) * fy)."""
+    ok, index, offsets, weights = stencil
+    flat = values.reshape((values.shape[0] * values.shape[1],) + values.shape[2:])
+    wx0, wx1, wy0, wy1 = (wt.reshape(wt.shape + (1,) * (values.ndim - 2)) for wt in weights)
+    top, bot, tmp = (np.empty(ok.shape + values.shape[2:]) for _ in range(3))
+    for row, k, wy in ((top, 0, wy0), (bot, 2, wy1)):
+        for plane, j, wx in ((row, k, wx0), (tmp, k + 1, wx1)):
+            # every index is in range: clip changes no value, at half raise's time
+            np.copyto(plane, flat[offsets[j]:].take(index, axis=0, mode="clip"))
+            plane *= wx
+        row += tmp
+        row *= wy
+    top += bot
+    top[~ok] = 0.0
+    return top
 
 
 def bilinear_sample_grid(values, xs, ys):
     """Vectorized bilinear sampling with an out-of-bounds validity mask.
 
-    Returns (samples, ok) in float64; samples are 0 where ok is False.
+    Returns (samples, ok) in float64; samples are 0 where ok is False.  An
+    empty grid raises ValueError.
     """
     values = np.asarray(values)
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    h, w = values.shape[:2]
-    ok = _in_bounds(xs, ys, h, w)
-    x0, x1, fx = _corners(np.where(ok, xs, 0.0), w)
-    y0, y1, fy = _corners(np.where(ok, ys, 0.0), h)
-    row0 = y0 * w
-    row1 = y1 * w
-    if values.ndim == 3:
-        fx = fx[..., None]
-        fy = fy[..., None]
-    # corners are gathered with np.take from the (H*W, ...) rows, which is
-    # faster than 2-D fancy indexing; the float64 weights promote only the
-    # gathered corners, never the grid
-    flat = values.reshape((h * w,) + values.shape[2:])
-    top = flat.take(row0 + x0, axis=0) * (1.0 - fx) + flat.take(row0 + x1, axis=0) * fx
-    bot = flat.take(row1 + x0, axis=0) * (1.0 - fx) + flat.take(row1 + x1, axis=0) * fx
-    out = top * (1.0 - fy) + bot * fy
-    out[~ok] = 0.0
-    return out, ok
+    stencil = _stencil(xs, ys, *values.shape[:2])
+    return _interpolate(values, stencil), stencil[0]
 
 
 def half_pixel(x, n, new_n):
@@ -262,8 +286,11 @@ def resize_grid(values, new_h: int, new_w: int) -> np.ndarray:
     half-pixel tensor grid, rows first, in the grid's own dtype.
 
     Always returns a new array, interpolated at every size (at the grid's
-    own size each weight is 0 or 1).  Target dims below 1 raise ValueError.
+    own size each weight is 0 or 1).  An empty grid or target dims below 1
+    raise ValueError.
     """
+    if 0 in np.shape(values)[:2]:
+        raise ValueError(f"cannot resize an empty {np.shape(values)[:2]} grid")
     if new_h < 1 or new_w < 1:
         raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
     return _resize_rows(np.ascontiguousarray(values), new_h, new_w, 0, new_h)
@@ -273,33 +300,35 @@ def _resize_rows(v: np.ndarray, new_h: int, new_w: int, r0: int, r1: int) -> np.
     """Rows r0:r1 of resize_grid(v, new_h, new_w) for a C-contiguous v, as a
     new array; each output pixel is computed as in the whole grid."""
     h, w = v.shape[:2]
-    y0, y1, fy = _corners(half_pixel_axis(h, new_h)[r0:r1], h)
-    x0, x1, fx = _corners(half_pixel_axis(w, new_w), w)
+    y0, dy, fy = _corners(half_pixel_axis(h, new_h)[r0:r1], h)
+    x0, dx, fx = _corners(half_pixel_axis(w, new_w), w)
     trail = (1,) * (v.ndim - 2)
     fy = fy.astype(v.dtype).reshape((-1, 1) + trail)
     fx = fx.astype(v.dtype).reshape((-1,) + trail)
-    rows = v[y0] * (1 - fy) + v[y1] * fy
-    return rows[:, x0] * (1 - fx) + rows[:, x1] * fx
-
-
-def _valid_samples(stacked: np.ndarray, ok=True):
-    """Coordinates and ok of an interpolated np.dstack([coords, valid]) of a
-    map: ok also needs every pixel with a nonzero weight to be valid, and
-    coordinates are 0 where not ok."""
-    ok = ok & (stacked[..., 2] >= 1.0 - 1e-9)
-    coords = stacked[..., :2]
-    coords[~ok] = 0.0
-    return coords, ok
+    # the bits of a * wa + b * wb, with each product and sum taken in place
+    rows = v[y0] * (1 - fy)
+    rows += v[y0 + dy] * fy
+    out, right = rows[:, x0], rows[:, x0 + dx]
+    out *= 1 - fx
+    right *= fx
+    out += right
+    return out
 
 
 def sample_map(cmap: CorrespondenceMap, xs, ys):
-    """Sample a correspondence map at real-valued grid positions, with one
-    scattered gather (`bilinear_sample_grid`) of coordinates and validity.
+    """Sample a correspondence map at real-valued grid positions, plane by
+    plane: one _stencil of the positions, then `_interpolate` of the
+    validity plane and of each coordinate plane.
 
     A sample is ok only when the position is in bounds and every grid pixel
-    contributing a nonzero interpolation weight is itself valid.
+    contributing a nonzero interpolation weight is itself valid; coordinates
+    are 0 where not ok.
     """
-    return _valid_samples(*bilinear_sample_grid(np.dstack([cmap.coords, cmap.valid]), xs, ys))
+    stencil = _stencil(xs, ys, cmap.height, cmap.width)
+    ok = stencil[0] & (_interpolate(cmap.valid, stencil) >= 1.0 - 1e-9)
+    coords = np.stack([_interpolate(cmap.coords[..., k], stencil) for k in range(2)], axis=-1)
+    coords[~ok] = 0.0
+    return coords, ok
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +351,9 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
 
     Pixels whose interpolation touches any invalid prior pixel are invalid,
     so a map with no valid pixel gives all-invalid, zero coordinates, which
-    are returned without resampling.  All new rows are resampled in one
-    resize_grid pass on the calling thread.  Target dimensions below 1 raise
-    ValueError.
+    are returned without resampling.  It works plane by plane, on the calling
+    thread: one resize_grid pass of the validity plane (as float64) and of
+    each coordinate plane.  Target dimensions below 1 raise ValueError.
     """
     if new_h < 1 or new_w < 1:
         raise ValueError(f"target dims must be >= 1, got {new_h}x{new_w}")
@@ -333,10 +362,11 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
         return cmap
     if not cmap.valid.any():
         return CorrespondenceMap(np.zeros((new_h, new_w, 2)), np.zeros((new_h, new_w), dtype=bool))
-    stacked = resize_grid(np.dstack([cmap.coords, cmap.valid]), new_h, new_w)
+    ok = resize_grid(cmap.valid.astype(np.float64), new_h, new_w) >= 1.0 - 1e-9
     # source coordinates rescale with the same half-pixel convention
-    stacked[..., :2] = half_pixel(stacked[..., :2], np.array([w, h]), np.array([new_w, new_h]))
-    return CorrespondenceMap(*_valid_samples(stacked))
+    return CorrespondenceMap(np.stack([
+        half_pixel(resize_grid(cmap.coords[..., k], new_h, new_w), n, new_n)
+        for k, (n, new_n) in enumerate(((w, new_w), (h, new_h)))], axis=-1), ok)
 
 
 # ---------------------------------------------------------------------------

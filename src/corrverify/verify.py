@@ -488,11 +488,13 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
         block = pixels[i:i + step]
         xy = coords[block]
         sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
-        norms = np.linalg.norm(sampled, axis=1)
+        # np.linalg.norm's own sum of squares, without its copy by conj()
+        norms = np.sqrt(np.add.reduce(sampled * sampled, axis=1))
         good = ok & (norms > 1e-12)
+        sampled /= np.where(good, norms, 1.0)[:, None]
+        d = np.einsum("nc,nc->n", sampled, target.take(block, axis=0).astype(np.float64))
         k = np.count_nonzero(good)
-        dots[n:n + k] = np.einsum("nc,nc->n", sampled[good] / norms[good, None],
-                                  target.take(block[good], axis=0).astype(np.float64))
+        dots[n:n + k] = d[good]
         n += k
     return float(dots[:n].sum())
 

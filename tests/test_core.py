@@ -133,6 +133,20 @@ class TestEmptyGridRejected:
             CorrespondenceMap(np.zeros(hw + (2,)), np.zeros(hw, dtype=bool))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (0, 5, 2)])
+class TestEmptyRawGridRejected:
+    """A raw array with no rows or no columns gets a ValueError from the
+    samplers, not the IndexError of an empty take."""
+
+    def test_resize_grid(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            resize_grid(np.zeros(shape), 3, 3)
+
+    def test_bilinear_sample_grid(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            bilinear_sample_grid(np.zeros(shape), [0.0], [0.0])
+
+
 class TestPnmIO:
     def test_p5_scaling(self, tmp_path):
         p = tmp_path / "t.pgm"
