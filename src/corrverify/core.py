@@ -28,7 +28,8 @@ import numpy as np
 # a pass that walks rows or pixels in blocks to stay in cache keeps each
 # block's float64 working set to about this many bytes: S_L's gathered
 # planes (a 480^2 planar pair has ~215k masked pixels of 50 channels, 86 MB
-# per plane if gathered at once) and the descriptor window sum
+# per plane if gathered at once), RANSAC's scoring planes and the
+# descriptor window sum
 BLOCK_BYTES = 400 << 10
 
 
@@ -156,11 +157,12 @@ class FeatureMap:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float32)
-        if v.ndim != 3 or 0 in v.shape[:2]:
-            raise ValueError(f"feature map must be (H, W, C) with H, W >= 1, got {v.shape}")
+        if v.ndim != 3 or 0 in v.shape:
+            raise ValueError(f"feature map must be (H, W, C) with H, W >= 1 and C >= 1, "
+                             f"got {v.shape}")
         # min and max propagate nan and report +-inf, without the boolean
         # temporary of isfinite (11 MiB for a 480^2 x 50 hypercolumn)
-        if v.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
+        if not (math.isfinite(v.min()) and math.isfinite(v.max())):
             raise ValueError("feature map contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -449,7 +451,10 @@ _MAX_DIM = 1 << 20
 
 
 def _write_binary(path, magic: bytes, dims, *arrays) -> None:
-    """Write the container: magic, version 1, dims, then the arrays' bytes."""
+    """Write the container: magic, version 1, dims, then the arrays' bytes.
+    A dimension the reader refuses raises ValueError before the file opens."""
+    if not all(1 <= d <= _MAX_DIM for d in dims):
+        raise ValueError(f"dimensions {tuple(dims)} must lie in [1, {_MAX_DIM}]")
     with open(path, "wb") as f:
         f.write(magic + struct.pack("<%dI" % (1 + len(dims)), 1, *dims))
         for a in arrays:

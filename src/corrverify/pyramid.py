@@ -179,13 +179,11 @@ def extract_hypercolumn(pyramid: tuple, target_hw=None) -> FeatureMap:
     top half of the rows on a thread started for the call, the bottom half
     on the caller; either half's exception reaches the caller, and the
     result equals one pass over the whole grid bit for bit.
-    A pyramid with no levels or no channels raises ValueError.
+    A pyramid with no levels raises ValueError.
     """
     if not pyramid:
         raise ValueError("empty pyramid")
     total_c = sum(fm.channels for fm in pyramid)
-    if total_c == 0:
-        raise ValueError("pyramid has no channels")
     th, tw = (pyramid[-1].height, pyramid[-1].width) if target_hw is None else target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
     if th < ch or tw < cw:
@@ -218,12 +216,10 @@ def compute_global_descriptor(pyramid: tuple) -> GlobalDescriptor:
     tuple of ``FeatureMap``s, coarsest first), L2-normalized.
 
     All-zero feature maps fall back to the all-equal-components unit vector.
-    An empty pyramid, or a coarsest level with no channels, raises ValueError.
+    An empty pyramid raises ValueError.
     """
     if not pyramid:
         raise ValueError("empty pyramid")
-    if pyramid[0].channels == 0:
-        raise ValueError("coarsest level has no channels")
     v = pyramid[0].values.astype(np.float64)
     m = np.mean(np.sign(v) * np.abs(v) ** GEM_POWER, axis=(0, 1))
     pooled = np.sign(m) * np.abs(m) ** (1.0 / GEM_POWER)

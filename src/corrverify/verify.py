@@ -223,21 +223,16 @@ def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
     return ok
 
 
-# RANSAC hypotheses are scored in chunks over K whose (chunk, N) float64
-# planes stay within this many bytes, so the scratch planes stay in cache
-# (and peak memory is bounded whatever the config).  The planes are allocated
-# once per call and reused: fresh planes of this size would sit near malloc's
-# mmap threshold and be mapped and page-faulted anew for every ufunc.
-SCORE_CHUNK_BYTES = 256 << 10
-
-
 def _inlier_chunks(models: np.ndarray, src: np.ndarray, dst: np.ndarray, threshold: float):
     """Symmetric inlier masks of (K, 3, 3) models on src -> dst pairs, as
     (chunk, N) blocks over K: a pair is an inlier iff it passes the forward
-    and the backward test."""
+    and the backward test.  Each chunk's (chunk, N) float64 planes hold at
+    most BLOCK_BYTES."""
     inv = _inverses(models)
     src_h, dst_h = _homogeneous(src), _homogeneous(dst)
-    step = max(1, min(len(models), SCORE_CHUNK_BYTES // (8 * max(len(src), 1))))
+    step = max(1, min(len(models), BLOCK_BYTES // (8 * max(len(src), 1))))
+    # allocated once and reused: fresh planes of this size sit near malloc's
+    # mmap threshold and would be mapped and page-faulted anew for every ufunc
     ph, sq = np.empty((3, step, len(src))), np.empty((step, len(src)))
     for i in range(0, len(models), step):
         yield (_inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq)
@@ -267,49 +262,43 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # order-preserving.  A subgrid of at most PRESCREEN_TARGET pixels is its own
 # probe, and the result is that of scoring every drawn hypothesis on it.
 #
-# Hypotheses are drawn in at most two batches from one LCG stream.  The
-# first FIRST_ROUND draws are counted on the probe pixels; if one of them
-# explains every probe pixel, the inlier share w is 1 and the adaptive bound
-# N = log(1 - p) / log(1 - w^4) of Fischler & Bolles (1981; Hartley &
-# Zisserman, 2nd ed., section 4.7) is 0 at any confidence p, so the draws
-# stop there.  Otherwise one second batch draws the rest of the configured
-# iterations, and the result is that of drawing them all at once.
+# ITERATIONS hypotheses are the draw budget, drawn in at most two batches
+# from one LCG stream.  The first FIRST_ROUND draws are counted on the probe
+# pixels; if one of them explains every probe pixel, the inlier share w is 1
+# and the adaptive bound N = log(1 - p) / log(1 - w^4) of Fischler & Bolles
+# (1981; Hartley & Zisserman, 2nd ed., section 4.7) is 0 at any confidence
+# p, so the draws stop there.  Otherwise one second batch draws the rest of
+# the budget, and the result is that of drawing them all at once; a bound
+# for w < 1 would stop at or below ITERATIONS.  RANSAC holds all drawn
+# hypotheses at once, about 2.5 KiB each (draws, DLT systems, SVD factors),
+# so the whole budget takes about 2.5 MiB.
 SAMPLE_STRIDE = 2
 PRESCREEN_TARGET = 1800
 PRESCREEN_KEEP = 48
 FIRST_ROUND = 16
-
-# RANSAC holds all drawn hypotheses at once, about 2.5 KiB each (draws, DLT
-# systems, SVD factors), so the iteration count is capped: a run that draws
-# to the cap (w < 1) peaks at 158-161 MiB under tracemalloc, on 128^2
-# to 480^2 maps alike.
-MAX_ITERATIONS = 1 << 16
+ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Seeded homography RANSAC on a dense map.
+    """Seeded homography RANSAC on a dense map; the draw budget is
+    ITERATIONS, not a setting.
 
-    iterations, min_inliers and seed are integers (numbers.Integral, not
-    bool): iterations lies in [1, MAX_ITERATIONS], min_inliers is >= 0 and
-    seed is any integer.  iterations caps the hypotheses drawn: RANSAC
-    stops after FIRST_ROUND draws when one of them explains every probe
-    pixel.  inlier_threshold (symmetric transfer distance, pixels) is a
-    finite positive real number (numbers.Real, not bool).  A model needs
-    max(4, min_inliers) inliers on the sampling subgrid: at least 4, whatever
-    min_inliers is.  Any other value raises ValueError.
+    min_inliers and seed are integers (numbers.Integral, not bool):
+    min_inliers is >= 0 and seed is any integer.  inlier_threshold
+    (symmetric transfer distance, pixels) is a finite positive real number
+    (numbers.Real, not bool).  A model needs max(4, min_inliers) inliers on
+    the sampling subgrid: at least 4, whatever min_inliers is.  Any other
+    value raises ValueError.
     """
 
-    iterations: int = 1000
     inlier_threshold: float = 3.0
     min_inliers: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "min_inliers", "seed"):
+        for name in ("min_inliers", "seed"):
             _integer(getattr(self, name), name)
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
         if not 0 < _real(self.inlier_threshold, "inlier_threshold") < math.inf:
             raise ValueError("inlier_threshold must be finite and positive")
         if self.min_inliers < 0:
@@ -330,14 +319,13 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 
     Returns (Homography or None, inlier Mask over the full grid).  Sampling
     is driven by a portable 64-bit LCG so results are bit-stable for a given
-    seed.  The first min(FIRST_ROUND, iterations) hypotheses are fitted in
-    one DLT batch and counted on the probe pixels.  If one of them explains
-    every probe pixel (w = 1, as on an exact map) the draws stop there;
-    otherwise one second batch draws the rest of the iterations.  The
-    PRESCREEN_KEEP best of all drawn hypotheses are counted on the subgrid,
-    and the best of them (ties to the earlier draw) is refit with DLT on its
-    inliers; the reported mask holds the refit model's inliers over all
-    valid pixels.
+    seed.  The first FIRST_ROUND hypotheses are fitted in one DLT batch and
+    counted on the probe pixels.  If one of them explains every probe pixel
+    (w = 1, as on an exact map) the draws stop there; otherwise one second
+    batch draws the other ITERATIONS - FIRST_ROUND.  The PRESCREEN_KEEP
+    best of all drawn hypotheses are counted on the subgrid, and the best of
+    them (ties to the earlier draw) is refit with DLT on its inliers; the
+    reported mask holds the refit model's inliers over all valid pixels.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -359,9 +347,9 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
         batch = _batch_dlt(pts[quads], coords[quads])
         return batch, _count_inliers(batch, probe_pts, probe_coords, t)
 
-    models, probe_counts = draw(min(FIRST_ROUND, config.iterations))
-    if probe_counts.max() < len(probe_pts) and len(models) < config.iterations:
-        more, more_counts = draw(config.iterations - len(models))
+    models, probe_counts = draw(FIRST_ROUND)
+    if probe_counts.max() < len(probe_pts):
+        more, more_counts = draw(ITERATIONS - FIRST_ROUND)
         models = np.concatenate([models, more])
         probe_counts = np.concatenate([probe_counts, more_counts])
     # stable sort keeps earlier iterations first among equal counts;
@@ -481,7 +469,7 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     h, w, c = hyper_b.values.shape
     coords = o_ab.coords.reshape(h * w, 2)
     target = hyper_b.values.reshape(h * w, c)
-    step = max(1, BLOCK_BYTES // (8 * max(c, 1)))
+    step = max(1, BLOCK_BYTES // (8 * c))
     dots = np.empty(len(pixels))
     n = 0
     for i in range(0, len(pixels), step):

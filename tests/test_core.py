@@ -118,16 +118,26 @@ class TestImageType:
             Image(np.zeros((8, 8, 3)))
 
 
-@pytest.mark.parametrize("hw", [(0, 5), (5, 0), (0, 0)])
-class TestEmptyGridRejected:
-    """Like Image, the map types reject a grid with no rows or no columns.
-    Unchecked, sample_map raised IndexError on such a map, and the global
-    descriptor of such a level took the mean of an empty slice."""
+EMPTY_GRIDS = [(0, 5), (5, 0), (0, 0)]
 
+
+class TestEmptyGridRejected:
+    """Like Image, the map types reject a grid with no rows or no columns,
+    and FeatureMap one with no channels.  Unchecked, sample_map raised
+    IndexError on such a map, the global descriptor of such a level took the
+    mean of an empty slice, and a map with no channels was written to an
+    FMAP file that read_fmap refused."""
+
+    @pytest.mark.parametrize("hw", EMPTY_GRIDS)
     def test_feature_map(self, hw):
         with pytest.raises(ValueError, match="H, W >= 1"):
             FeatureMap(np.zeros(hw + (3,), np.float32))
 
+    def test_feature_map_no_channels(self):
+        with pytest.raises(ValueError, match="C >= 1"):
+            FeatureMap(np.zeros((4, 4, 0), np.float32))
+
+    @pytest.mark.parametrize("hw", EMPTY_GRIDS)
     def test_correspondence_map(self, hw):
         with pytest.raises(ValueError, match="H, W >= 1"):
             CorrespondenceMap(np.zeros(hw + (2,)), np.zeros(hw, dtype=bool))
@@ -332,6 +342,18 @@ class TestWriterBytes:
         expect = (b"CMAP" + struct.pack("<III", 1, 4, 3) + m.coords.astype("<f4").tobytes()
                   + valid.astype(np.uint8).tobytes())
         assert (tmp_path / "m.cmap").read_bytes() == expect
+
+    @pytest.mark.parametrize("write, value", [
+        (write_fmap, lambda: FeatureMap(np.zeros((1, 1, (1 << 20) + 1), np.float32))),
+        (write_cmap, lambda: CorrespondenceMap(np.zeros((1, (1 << 20) + 1, 2)),
+                                               np.zeros((1, (1 << 20) + 1), bool)))],
+        ids=["FMAP", "CMAP"])
+    def test_dimension_the_reader_refuses(self, write, value, tmp_path):
+        # the readers refuse a dimension above 2**20, so the writers do too,
+        # before a file exists
+        with pytest.raises(ValueError, match="1048577"):
+            write(value(), tmp_path / "x.bin")
+        assert not (tmp_path / "x.bin").exists()
 
     # P5 is the only format written; a P6 file loads as luma
     @pytest.mark.parametrize("shape, magic", [((5, 7), b"P5")])

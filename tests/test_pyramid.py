@@ -273,11 +273,6 @@ class TestHypercolumn:
         with pytest.raises(ValueError, match="empty pyramid"):
             extract_hypercolumn(())
 
-    def test_no_channels_rejected(self):
-        fm = FeatureMap(np.zeros((15, 15, 0), np.float32))
-        with pytest.raises(ValueError, match="no channels"):
-            extract_hypercolumn((fm,))
-
     def test_default_grid_is_finest_level(self):
         pyr = build_pyramid(make_texture(150, 130, seed=34), working_size=128)
         hyper = extract_hypercolumn(pyr)
@@ -443,8 +438,3 @@ class TestGlobalDescriptor:
     def test_empty_pyramid_rejected(self):
         with pytest.raises(ValueError, match="empty pyramid"):
             compute_global_descriptor(())
-
-    def test_no_channels_rejected(self):
-        fm = FeatureMap(np.zeros((15, 15, 0), np.float32))
-        with pytest.raises(ValueError, match="no channels"):
-            compute_global_descriptor((fm,))

@@ -32,7 +32,6 @@ from corrverify.synth import (
     warp_points,
 )
 from corrverify.verify import (
-    MAX_ITERATIONS,
     DegenerateModelError,
     Homography,
     RansacConfig,
@@ -355,10 +354,6 @@ class TestScoreSL:
         s12 = score_s_l(f, g, ident, Mask(m1 | m2))
         assert s12 == pytest.approx(s1 + s2, abs=1e-9)
 
-    def test_zero_channels_zero(self):
-        f = FeatureMap(np.zeros((8, 8, 0), np.float32))
-        assert score_s_l(f, f, identity_map(8, 8), Mask(np.ones((8, 8), bool))) == 0.0
-
     # block boundaries: B is the block size in pixels at 50 channels
     CHANNELS = 50
     B = core.BLOCK_BYTES // (8 * CHANNELS)
@@ -549,7 +544,7 @@ def gt_maps_for(kind, seed, magnitude=0.4):
 class TestRansac:
     def test_identity_map_recovers_identity(self):
         ident = identity_map(64, 64)
-        model, inliers = ransac_homography(ident, RansacConfig(iterations=100, seed=1))
+        model, inliers = ransac_homography(ident, RansacConfig(seed=1))
         assert model is not None
         assert np.abs(model.matrix - np.eye(3)).max() < 1e-6
         assert inliers.count() == 64 * 64
@@ -646,14 +641,15 @@ class TestRansac:
         # hypothesis on the subgrid, and the refit and its mask follow.  No
         # first-round hypothesis explains the whole noisy subgrid, so the
         # second batch draws the rest of the same stream
+        monkeypatch.setattr(verify, "ITERATIONS", 300)
         fwd, _ = noisy_pair("tps", seed, 0.4, size=64)
-        cfg = RansacConfig(iterations=300, seed=seed)
+        cfg = RansacConfig(seed=seed)
         t = cfg.inlier_threshold
         pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
         n = len(pts)
         assert n <= 32 * 32 <= verify.PRESCREEN_TARGET
         rng = Lcg64(cfg.seed)
-        quads = np.array([rng.sample_distinct(n, 4) for _ in range(cfg.iterations)])
+        quads = np.array([rng.sample_distinct(n, 4) for _ in range(verify.ITERATIONS)])
         models = _batch_dlt(pts[quads], coords[quads])
         counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, t)) for m in models]
         first = verify.FIRST_ROUND
@@ -670,7 +666,7 @@ class TestRansac:
         assert model.matrix.tobytes() == want.matrix.tobytes()
         assert np.array_equal(inliers.bits, want_bits)
         assert np.array_equal(np.array(drawn), quads)
-        assert calls == [(first, n), (cfg.iterations - first, n), (verify.PRESCREEN_KEEP, n)]
+        assert calls == [(first, n), (verify.ITERATIONS - first, n), (verify.PRESCREEN_KEEP, n)]
 
     def test_every_subgrid_prescreened(self, monkeypatch):
         # 2500 subgrid pixels: the probe takes every second one, then the
@@ -683,46 +679,41 @@ class TestRansac:
         assert len(drawn) == verify.FIRST_ROUND == 16
         assert calls == [(16, 1250), (16, 2500)]
 
-    def test_iterations_cap_first_round(self, monkeypatch):
-        # a cap below FIRST_ROUND makes the first batch every draw
-        fwd, _ = noisy_pair("tps", 72, 0.4, size=64)
-        drawn, _ = self.record_calls(monkeypatch)
-        model, _ = ransac_homography(fwd, RansacConfig(iterations=5, seed=72))
-        assert len(drawn) == 5 and model is not None
-
-    def test_memory_bounded_at_cap(self):
-        # a map without inliers draws to the cap, and RANSAC holds all
-        # MAX_ITERATIONS hypotheses at once.  The peak measured 158.2 MiB
-        # (numpy 2.4); the bound leaves 10% for numpy versions whose SVD
-        # and DLT temporaries differ, and still fails if the hypotheses
-        # were held twice
+    def test_memory_bounded_at_budget(self, monkeypatch):
+        # a map without inliers draws the whole budget, and RANSAC holds all
+        # ITERATIONS hypotheses at once.  The peak measured 2.50 MiB (numpy
+        # 2.4, 2.41 without the recorded draws); the bound leaves room for
+        # numpy versions whose SVD and DLT temporaries differ
         valid = np.zeros((128, 128), dtype=bool)
         valid[10] = True
         cmap = CorrespondenceMap(identity_map(128, 128).coords, valid)
-        cfg = RansacConfig(iterations=MAX_ITERATIONS, min_inliers=0)
+        drawn, _ = self.record_calls(monkeypatch)
         tracemalloc.start()
         try:
-            model, _ = ransac_homography(cmap, cfg)
+            model, _ = ransac_homography(cmap, RansacConfig(min_inliers=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(drawn) == verify.ITERATIONS == 1000
         assert model is None
-        assert peak < 176 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize("min_inliers", [0, 1, 2, 3])
     def test_below_four_inliers_no_model(self, monkeypatch, min_inliers):
-        cfg = RansacConfig(iterations=50, min_inliers=min_inliers)
+        monkeypatch.setattr(verify, "ITERATIONS", 50)
+        cfg = RansacConfig(min_inliers=min_inliers)
         drawn, _ = self.record_calls(monkeypatch)
         model, inliers = ransac_homography(self.one_row_map(), cfg)
-        # every hypothesis counts 0, so w < 1 and the draws run to the cap
+        # every hypothesis counts 0, so w < 1 and the draws use the budget
         assert len(drawn) == 50
         assert model is None
         assert inliers.bits.shape == (40, 40) and not inliers.bits.any()
 
     def test_below_four_inliers_pair_scores_zero(self, monkeypatch):
+        monkeypatch.setattr(verify, "ITERATIONS", 50)
         cmap = self.one_row_map()
         entered = count_ransac(monkeypatch)
-        s, r_ab, r_ba = score_pair_s(cmap, cmap, RansacConfig(iterations=50, min_inliers=0))
+        s, r_ab, r_ba = score_pair_s(cmap, cmap, RansacConfig(min_inliers=0))
         # the 40 cyclically consistent pixels do not trigger the skip
         assert len(entered) == 2 and s == 0.0
         for r in (r_ab, r_ba):
@@ -731,9 +722,8 @@ class TestRansac:
 
 class TestRansacConfig:
     @pytest.mark.parametrize("field, value", [
-        ("iterations", 0), ("inlier_threshold", 0.0), ("inlier_threshold", math.nan),
+        ("inlier_threshold", 0.0), ("inlier_threshold", math.nan),
         ("inlier_threshold", math.inf), ("min_inliers", -1),
-        ("iterations", 10.5), ("iterations", 1000.0), ("iterations", True),
         ("min_inliers", 2.5), ("min_inliers", False), ("seed", 1.5), ("seed", None),
         ("seed", np.float64(1.0)), ("inlier_threshold", True), ("inlier_threshold", "3"),
         ("inlier_threshold", None)])
@@ -742,25 +732,19 @@ class TestRansacConfig:
             RansacConfig(**{field: value})
 
     def test_accepts_numpy_integers(self):
-        cfg = RansacConfig(iterations=np.int64(40), min_inliers=np.int64(4),
-                           seed=np.int64(7))
+        cfg = RansacConfig(min_inliers=np.int64(4), seed=np.int64(7))
         model, _ = ransac_homography(identity_map(40, 40), cfg)
         assert model is not None
-        assert cfg == RansacConfig(iterations=40, min_inliers=4, seed=7)
+        assert cfg == RansacConfig(min_inliers=4, seed=7)
 
     @pytest.mark.parametrize("threshold", [3, np.float32(3.0), Fraction(3)])
     def test_accepts_real_thresholds(self, threshold):
-        cfg = RansacConfig(inlier_threshold=threshold, iterations=20)
+        cfg = RansacConfig(inlier_threshold=threshold)
         model, inliers = ransac_homography(identity_map(40, 40), cfg)
         assert model is not None and inliers.count() == 40 * 40
 
-    def test_iterations_capped(self):
-        assert RansacConfig(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
-        with pytest.raises(ValueError, match="iterations"):
-            RansacConfig(iterations=MAX_ITERATIONS + 1)
-
     def test_accepts_smallest_values(self):
-        cfg = RansacConfig(iterations=1, min_inliers=0)
+        cfg = RansacConfig(min_inliers=0)
         model, inliers = ransac_homography(identity_map(40, 40), cfg)
         assert model is not None and inliers.count() == 40 * 40
 
@@ -809,7 +793,7 @@ class TestInlierKernel:
         src = np.concatenate([src, b_src, h_src])
         dst = np.concatenate([dst, b_dst, h_dst])
 
-        step = verify.SCORE_CHUNK_BYTES // (8 * len(src))
+        step = core.BLOCK_BYTES // (8 * len(src))
         k = 2 * step + 7
         assert k % step
         quads = rng.integers(0, 500, (k - 5, 4))
@@ -856,7 +840,7 @@ class TestScoreInvariants:
            st.floats(0.1, 0.6), st.integers(0, 2 ** 16))
     def test_pair_score_invariants(self, kind, seed, magnitude, ransac_seed):
         fwd, bwd = noisy_pair(kind, seed, magnitude)
-        cfg = RansacConfig(iterations=200, seed=ransac_seed)
+        cfg = RansacConfig(seed=ransac_seed)
         s, r_ab, r_ba = score_pair_s(fwd, bwd, cfg)
         assert 0.0 <= s <= math.exp(-1)
         for r in (r_ab, r_ba):
@@ -947,8 +931,9 @@ def pair_digest(s, r_ab, r_ba):
     return h.hexdigest()
 
 
-# pair digests of score_pair_s at TestSplitKernels.CFG, taken before any
-# kernel was split and kept since; 128^2 maps take the prescreen path
+# pair digests of score_pair_s at TestSplitKernels.CFG and a budget of 300
+# draws, taken before any kernel was split and kept since; 128^2 maps take
+# the prescreen path
 PINNED_PAIRS = [
     ("affine", 61, "85fc3a452a6189250b7415ad7bb1928a6c42985f9f5c899d78658de7e80da8a3"),
     ("tps", 62, "f0e9b7e45dbb98cdc23ad82354251ba64b8eb92c18785293b2207e9e732422ae"),
@@ -959,7 +944,12 @@ class TestSplitKernels:
     """verify runs on the calling thread, and its batched kernels give the
     results of per-item oracles, bit for bit."""
 
-    CFG = RansacConfig(iterations=300, seed=5)
+    CFG = RansacConfig(seed=5)
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        """PINNED_PAIRS were taken at a budget of 300 draws."""
+        monkeypatch.setattr(verify, "ITERATIONS", 300)
 
     @pytest.mark.parametrize("kind, seed, digest", PINNED_PAIRS)
     def test_score_pair_s_pinned(self, monkeypatch, kind, seed, digest):
@@ -1112,6 +1102,7 @@ class TestCyclicSkip:
     def test_positive_pair_starts_no_thread(self, monkeypatch):
         kind, seed, digest = PINNED_PAIRS[0]
         fwd, bwd = noisy_pair(kind, seed, 0.4, size=128)
+        monkeypatch.setattr(verify, "ITERATIONS", 300)
         entered = count_ransac(monkeypatch)
         started = count_threads(monkeypatch)
         got = score_pair_s(fwd, bwd, TestSplitKernels.CFG)
