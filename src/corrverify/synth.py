@@ -46,9 +46,12 @@ class WarpGenerationError(RuntimeError):
 class WarpSpec:
     """A parametric warp of a fixed frame, plus its provenance.
 
-    Every entry of params must be finite (a manifest read back from JSON can
-    carry NaN); a singular matrix is kept, and the invertibility probe
-    rejects it.
+    The params a kind reads are stored as float64 arrays: affine and
+    homography read a (3, 3) "matrix", tps reads "controls" and "targets",
+    both (n, 2) with n >= 3.  A missing or misshapen one raises ValueError,
+    as does any param entry that is not finite (a manifest read back from
+    JSON can carry NaN); a singular matrix is kept, and the invertibility
+    probe rejects it.
     """
 
     kind: str
@@ -64,14 +67,16 @@ class WarpSpec:
         for name, value in self.params.items():
             if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
                 raise ValueError(f"warp param {name!r} must be finite")
-        if self.kind != "tps":
-            # projective warps hold a 3x3 matrix; an affine 2x3 one is lifted
-            m = np.asarray(self.params["matrix"], dtype=np.float64)
-            if self.kind == "affine" and m.shape == (2, 3):
-                m = np.vstack([m, [0.0, 0.0, 1.0]])
-            if m.shape != (3, 3):
-                raise ValueError(f"{self.kind} matrix must be 3x3, got {m.shape}")
-            object.__setattr__(self, "params", {**self.params, "matrix": m})
+        read = {}
+        for name in ("controls", "targets") if self.kind == "tps" else ("matrix",):
+            if name not in self.params:
+                raise ValueError(f"{self.kind} warp needs param {name!r}")
+            read[name] = v = np.asarray(self.params[name], dtype=np.float64)
+            want = (3, 3) if name == "matrix" else read["controls"].shape[:1] + (2,)
+            if v.shape != want or len(v) < 3:
+                shape = "(3, 3)" if name == "matrix" else "(n, 2), n >= 3 as in controls"
+                raise ValueError(f"{self.kind} param {name!r} must be {shape}, got {v.shape}")
+        object.__setattr__(self, "params", {**self.params, **read})
 
     def to_dict(self) -> dict:
         return {
@@ -223,12 +228,12 @@ def _sample_spec(kind: str, magnitude: float, seed: int, attempt: int,
         lin = np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]]) @ np.diag([sx, sy])
         center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
         offset = center + np.array([tx, ty]) - lin @ center
-        params = {"matrix": np.column_stack([lin, offset])}
+        params = {"matrix": np.vstack([np.column_stack([lin, offset]), [0.0, 0.0, 1.0]])}
     elif kind == "homography":
         corners = np.array([[0, 0], [w - 1.0, 0], [w - 1.0, h - 1.0], [0, h - 1.0]])
         delta = rng.uniform(-1, 1, (4, 2)) * (0.2 * magnitude) * np.array([w, h])
         try:
-            params = {"matrix": fit_homography_dlt(corners, corners + delta).matrix}
+            params = {"matrix": fit_homography_dlt(corners, corners + delta)}
         except DegenerateModelError:
             # degenerate corner draw: a singular matrix fails the probe, so it is retried
             params = {"matrix": np.diag([0.0, 0.0, 1.0])}

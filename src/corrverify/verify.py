@@ -17,6 +17,9 @@ AND I, so |C| <= k, the cyclic mask's count, and S <= exp(-beta/k); when
 whatever RANSAC finds, and the direction skips RANSAC and reports no model
 and empty I and C.  S and S_F are bitwise those of a full run.
 
+A model is a read-only (3, 3) float64 homography with H[2,2] = 1, or of
+unit Frobenius norm when |H[2,2]| <= 1e-8, put through ``_canonical`` once.
+
 ``verify`` runs on the calling thread: it starts no thread of its own.
 """
 
@@ -51,25 +54,6 @@ class DegenerateModelError(ValueError):
 # homography estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Homography:
-    """3x3 projective transform, normalized to H[2,2] = 1 when possible."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise ValueError("homography must be 3x3")
-        if not np.isfinite(m).all():
-            raise ValueError("homography entries must be finite")
-        m = _canonical(m[None])[0]
-        if np.isnan(m).any():
-            raise DegenerateModelError("homography is singular")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def project(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply (..., 3, 3) homographies to (N, 2) points, giving (..., N, 2);
     points sent to |w| <= 1e-12 come back as nan."""
@@ -90,7 +74,8 @@ def _homogeneous(pts: np.ndarray) -> np.ndarray:
 
 def _canonical(H: np.ndarray) -> np.ndarray:
     """(K, 3, 3) homographies scaled to H[2,2] = 1 (to unit norm when
-    H[2,2] is near 0); nan rows where singular or non-finite."""
+    |H[2,2]| <= 1e-8); nan rows where singular or non-finite.  Apply once:
+    a unit-norm row can have |H[2,2]| > 1e-8."""
     h22 = H[:, 2, 2]
     scale = np.where(np.abs(h22) > 1e-8, h22, np.linalg.norm(H, axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,11 +143,13 @@ def _batch_dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return _canonical(H)
 
 
-def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
+def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Least-squares homography with src -> dst, Hartley-normalized DLT.
 
-    Exact for 4 pairs in general position; raises DegenerateModelError when
-    the configuration (e.g. collinear points) leaves the model ambiguous, and
+    Returns the read-only (3, 3) float64 model, H[2,2] = 1 or unit norm when
+    |H[2,2]| <= 1e-8: bitwise _batch_dlt(src[None], dst[None])[0].  Exact
+    for 4 pairs in general position; raises DegenerateModelError when the
+    configuration (e.g. collinear points) leaves the model ambiguous, and
     ValueError when a point is not finite.
     """
     src = np.asarray(src, dtype=np.float64)
@@ -172,9 +159,10 @@ def fit_homography_dlt(src: np.ndarray, dst: np.ndarray) -> Homography:
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
         raise ValueError("points must be finite")
     H = _batch_dlt(src[None], dst[None])[0]
-    if np.isnan(H).any():
+    if not np.isfinite(H).all():
         raise DegenerateModelError("degenerate point configuration")
-    return Homography(H)
+    H.flags.writeable = False
+    return H
 
 
 def _inverses(models: np.ndarray) -> np.ndarray:
@@ -317,15 +305,17 @@ def _map_correspondences(cmap: CorrespondenceMap, stride: int):
 def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     """Robust homography fit over a dense map's valid correspondences.
 
-    Returns (Homography or None, inlier Mask over the full grid).  Sampling
-    is driven by a portable 64-bit LCG so results are bit-stable for a given
-    seed.  The first FIRST_ROUND hypotheses are fitted in one DLT batch and
-    counted on the probe pixels.  If one of them explains every probe pixel
-    (w = 1, as on an exact map) the draws stop there; otherwise one second
-    batch draws the other ITERATIONS - FIRST_ROUND.  The PRESCREEN_KEEP
-    best of all drawn hypotheses are counted on the subgrid, and the best of
-    them (ties to the earlier draw) is refit with DLT on its inliers; the
-    reported mask holds the refit model's inliers over all valid pixels.
+    Returns (model or None, inlier Mask over the full grid); a model is
+    read-only (3, 3) float64, H[2,2] = 1 or unit norm when |H[2,2]| <= 1e-8.
+    Sampling is driven by a portable 64-bit LCG so results are bit-stable
+    for a given seed.  The first FIRST_ROUND hypotheses are fitted in one
+    DLT batch and counted on the probe pixels.  If one of them explains
+    every probe pixel (w = 1, as on an exact map) the draws stop there;
+    otherwise one second batch draws the other ITERATIONS - FIRST_ROUND.
+    The PRESCREEN_KEEP best of all drawn hypotheses are counted on the
+    subgrid, and the best of them (ties to the earlier draw) is refit with
+    DLT on its inliers, or kept as it is when they are degenerate; the mask
+    holds the model's inliers over all valid pixels.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -362,16 +352,17 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
         return None, empty
 
     best = models[best_j]
+    best.flags.writeable = False
     inl = _inlier_mask(best, pts, coords, t)
     try:
-        refit = fit_homography_dlt(pts[inl], coords[inl])
+        model = fit_homography_dlt(pts[inl], coords[inl])
     except DegenerateModelError:
-        refit = Homography(best)
+        model = best
 
     grid_pts, grid_coords = _map_correspondences(cmap, 1)
     bits = np.zeros((cmap.height, cmap.width), dtype=bool)
-    bits[cmap.valid] = _inlier_mask(refit.matrix, grid_pts, grid_coords, t)
-    return refit, Mask(bits)
+    bits[cmap.valid] = _inlier_mask(model, grid_pts, grid_coords, t)
+    return model, Mask(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +392,11 @@ def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap) -> Mask:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """One direction of RANSAC + cyclic verification."""
+    """One direction of RANSAC + cyclic verification.  homography is
+    ransac_homography's model: a read-only (3, 3) float64 array with
+    H[2,2] = 1 (unit norm when |H[2,2]| <= 1e-8), or None."""
 
-    homography: Optional[Homography]
+    homography: Optional[np.ndarray]
     inlier_mask: Mask                   # I
     consistent_mask: Mask               # C = cyclic AND I
 

@@ -34,7 +34,7 @@ from corrverify.core import (
     write_fmap,
     write_gdsc,
 )
-from corrverify.verify import Homography
+from corrverify.verify import RansacConfig, fit_homography_dlt, ransac_homography
 
 from helpers import count_threads, identity_map
 
@@ -825,7 +825,6 @@ VALUE_TYPES = {
                            lambda r: (r.standard_normal((4, 10, 3), dtype=np.float32)[:, ::2],),
                            ["values"]),
     "GlobalDescriptor": (GlobalDescriptor, lambda r: (np.full(4, 0.5),), ["values"]),
-    "Homography": (Homography, lambda r: (np.eye(3) + 0.1 * r.random((3, 3)),), ["matrix"]),
 }
 
 
@@ -843,6 +842,19 @@ class TestValueOwnership:
             a.fill(0)
         for f, want in zip(fields, kept):
             assert getattr(value, f).any() and np.array_equal(getattr(value, f), want)
+
+    def test_fitted_models_read_only(self):
+        # a homography model is a bare (3, 3) float64 array, returned
+        # read-only by the DLT fit and by RANSAC
+        pts = np.array([[0.0, 0], [10, 0], [10, 10], [0, 10], [4, 7]])
+        fitted = fit_homography_dlt(pts, 1.5 * pts + [2.0, -3.0])
+        found, _ = ransac_homography(identity_map(40, 40), RansacConfig())
+        for model in (fitted, found):
+            assert model.shape == (3, 3) and model.dtype == np.float64
+            kept = model.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                model[...] = 0
+            assert np.array_equal(model, kept)
 
     def test_feature_map_keeps_c_contiguous_float32(self):
         # the one exception: no copy of a hypercolumn or an FMAP payload,

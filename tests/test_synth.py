@@ -35,6 +35,10 @@ def grid_points(h, w, step=7):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
+# a TPS warp's 3x3 grid of controls on a 240^2 frame
+CONTROLS = grid_points(240, 240, step=119.5)
+
+
 class TestRandomWarp:
     @pytest.mark.parametrize("kind", ["affine", "homography", "tps"])
     def test_magnitude_zero_is_identity(self, kind):
@@ -101,34 +105,33 @@ class TestRandomWarp:
 
 
 class TestWarpSpecMatrix:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_affine_2x3_and_its_lift_agree(self, seed):
-        m = np.asarray(random_warp("affine", 0.5, seed=seed).params["matrix"])[:2]
-        short = WarpSpec("affine", {"matrix": m}, seed=0, magnitude=0.5)
-        lifted = WarpSpec("affine", {"matrix": np.vstack([m, [0.0, 0.0, 1.0]])},
-                          seed=0, magnitude=0.5)
-        assert np.array_equal(short.params["matrix"], lifted.params["matrix"])
-        pts = grid_points(240, 240, step=5) + 0.25
-        assert np.array_equal(warp_points(short, pts), warp_points(lifted, pts))
-        assert np.array_equal(warp_jacobian(short, pts), warp_jacobian(lifted, pts))
-        for a, b in zip(inverse_warp_points(short, pts), inverse_warp_points(lifted, pts)):
-            assert np.array_equal(a, b)
-        img = make_texture(240, 240, seed=seed)
-        out_short, out_lifted = apply_warp(img, short), apply_warp(img, lifted)
-        assert np.array_equal(out_short[0].pixels, out_lifted[0].pixels)
-        for a, b in zip(out_short[1:], out_lifted[1:]):
-            assert np.array_equal(a.coords, b.coords) and np.array_equal(a.valid, b.valid)
-
-    def test_caller_params_not_modified(self):
-        params = {"matrix": np.eye(3)[:2]}
-        WarpSpec("affine", params, seed=0, magnitude=0.0)
-        assert params["matrix"].shape == (2, 3)
-
     @pytest.mark.parametrize("kind, shape", [("homography", (2, 3)), ("homography", (3, 4)),
-                                             ("affine", (3, 4)), ("affine", (2, 2))])
+                                             ("affine", (3, 4)), ("affine", (2, 2)),
+                                             ("affine", (2, 3))])
     def test_wrong_matrix_shape_rejected(self, kind, shape):
         with pytest.raises(ValueError, match="matrix"):
             WarpSpec(kind, {"matrix": np.ones(shape)}, seed=0, magnitude=0.1)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("homography", {}, "matrix"),
+        ("affine", {"controls": CONTROLS, "targets": CONTROLS}, "matrix"),
+        ("tps", {}, "controls"),
+        ("tps", {"controls": CONTROLS}, "targets"),
+        ("tps", {"controls": CONTROLS, "targets": CONTROLS[:8]}, "targets"),
+        ("tps", {"controls": CONTROLS, "targets": CONTROLS[:, :1]}, "targets"),
+        ("tps", {"controls": CONTROLS[:, 0], "targets": CONTROLS}, "controls"),
+        ("tps", {"controls": CONTROLS[:2], "targets": CONTROLS[:2]}, "controls"),
+    ], ids=["homography-no-matrix", "affine-no-matrix", "tps-none", "tps-no-targets",
+            "tps-9-8", "tps-targets-9x1", "tps-controls-1d", "tps-2-controls"])
+    def test_params_the_kind_reads_checked(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"param '{name}'"):
+            WarpSpec(kind, params, seed=0, magnitude=0.1)
+        # a manifest read from disk is outside input
+        d = json.loads(json.dumps({"kind": kind, "seed": 0, "magnitude": 0.1, "frame_h": 240,
+                                   "frame_w": 240, "params": {
+                                       k: v.tolist() for k, v in params.items()}}))
+        with pytest.raises(ValueError, match=f"param '{name}'"):
+            WarpSpec.from_dict(d)
 
     @pytest.mark.parametrize("kind, name, bad", [
         ("homography", "matrix", np.nan), ("homography", "matrix", np.inf),
@@ -308,7 +311,7 @@ class TestApplyWarp:
 
     def test_pure_translation_constant_offset(self):
         img = make_texture(240, 240, seed=2)
-        m = np.array([[1.0, 0.0, 12.0], [0.0, 1.0, -7.0]])
+        m = np.array([[1.0, 0.0, 12.0], [0.0, 1.0, -7.0], [0.0, 0.0, 1.0]])
         spec = WarpSpec("affine", {"matrix": m}, seed=0, magnitude=0.1)
         warped, gt_fwd, gt_bwd = apply_warp(img, spec)
         ident = identity_map(240, 240).coords

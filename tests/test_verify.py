@@ -33,7 +33,6 @@ from corrverify.synth import (
 )
 from corrverify.verify import (
     DegenerateModelError,
-    Homography,
     RansacConfig,
     VerificationResult,
     _batch_dlt,
@@ -54,13 +53,13 @@ from corrverify.verify import (
 from helpers import count_threads, identity_map
 
 
-def symmetric_transfer_error(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def symmetric_transfer_error(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """max(forward, backward) transfer distance per correspondence, inf where
     a point maps to the horizon: the hypot reference RANSAC's inlier test is
     checked against."""
     with np.errstate(invalid="ignore", over="ignore"):
-        df = project(h.matrix, src) - dst
-        db = project(np.linalg.inv(h.matrix), dst) - src
+        df = project(h, src) - dst
+        db = project(np.linalg.inv(h), dst) - src
         err = np.maximum(np.hypot(df[:, 0], df[:, 1]), np.hypot(db[:, 0], db[:, 1]))
     return np.where(np.isfinite(err), err, np.inf)
 
@@ -69,7 +68,7 @@ class TestDlt:
     def test_unit_square_identity(self):
         pts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
         h = fit_homography_dlt(pts, pts)
-        assert np.abs(h.matrix - np.eye(3)).max() < 1e-9
+        assert np.abs(h - np.eye(3)).max() < 1e-9
 
     def test_recovers_known_homography(self):
         rng = np.random.default_rng(0)
@@ -77,7 +76,7 @@ class TestDlt:
         src = rng.uniform(0, 200, (8, 2))
         dst = project(true, src)
         h = fit_homography_dlt(src, dst)
-        assert np.abs(h.matrix - true).max() < 1e-6
+        assert np.abs(h - true).max() < 1e-6
 
     def test_exact_four_point_projective(self):
         # 4 pairs give an 8x9 system whose null vector is the 9th right
@@ -86,7 +85,7 @@ class TestDlt:
         src = np.array([[0.0, 0], [100, 0], [100, 100], [0, 100]])
         dst = project(true, src)
         h = fit_homography_dlt(src, dst)
-        assert np.abs(h.matrix - true).max() < 1e-9
+        assert np.abs(h - true).max() < 1e-9
 
     def test_batch_matches_single_fit(self):
         rng = np.random.default_rng(7)
@@ -102,9 +101,26 @@ class TestDlt:
         out = _batch_dlt(src, dst)
         assert np.isnan(out[-1]).all()
         for i in range(k - 1):
-            single = fit_homography_dlt(src[i], dst[i]).matrix
-            assert np.abs(out[i] - single).max() < 1e-9
+            assert fit_homography_dlt(src[i], dst[i]).tobytes() == out[i].tobytes()
             assert np.abs(out[i] - trues[i]).max() < 1e-9
+
+        # near the horizon, where _canonical is not idempotent: with
+        # |H[2,2]| <= 1e-8 a row is scaled to unit norm, which can leave
+        # |H[2,2]| > 1e-8.  The first row is such a model; the others have
+        # H[2,2] = 10^U(-12, -8) and targets scaled by 10^U(-3, 1)
+        k = 64
+        trues = np.tile(np.eye(3), (k, 1, 1))
+        trues[:, :2, :] += rng.uniform(-0.2, 0.2, (k, 2, 3))
+        trues[:, 2, :2] = rng.uniform(1e-4, 1e-3, (k, 2))
+        trues[:, 2, 2] = 10.0 ** rng.uniform(-12, -8, k)
+        trues[0] = [[1e-3, 0, 0], [0, 1e-3, 0], [1e-4, 0, 5e-9]]
+        src = rng.uniform(1, 200, (k, 8, 2))
+        dst = np.stack([project(t, s) for t, s in zip(trues, src)])
+        dst *= 10.0 ** rng.uniform(-3, 1, (k, 1, 1))
+        out = _batch_dlt(src, dst)
+        assert np.isfinite(out).all()
+        for i in range(k):
+            assert fit_homography_dlt(src[i], dst[i]).tobytes() == out[i].tobytes()
 
     def test_collinear_targets_degenerate(self):
         src = np.array([[0.0, 0], [10, 0], [10, 10], [0, 10]])
@@ -546,7 +562,7 @@ class TestRansac:
         ident = identity_map(64, 64)
         model, inliers = ransac_homography(ident, RansacConfig(seed=1))
         assert model is not None
-        assert np.abs(model.matrix - np.eye(3)).max() < 1e-6
+        assert np.abs(model - np.eye(3)).max() < 1e-6
         assert inliers.count() == 64 * 64
 
     def test_exact_homography_map_recovered(self):
@@ -558,7 +574,7 @@ class TestRansac:
         hinv = np.linalg.inv(np.asarray(spec.params["matrix"]))
         corners = np.array([[0.0, 0], [239, 0], [239, 239], [0, 239]])
         expect = project(hinv, corners)
-        got = project(model.matrix, corners)
+        got = project(model, corners)
         assert np.linalg.norm(got - expect, axis=1).max() <= 0.5
 
     def test_uniform_random_map_rejected_or_chance(self):
@@ -575,7 +591,7 @@ class TestRansac:
         a_model, a_mask = ransac_homography(gt_fwd, RansacConfig(seed=5))
         b_model, b_mask = ransac_homography(gt_fwd, RansacConfig(seed=5))
         assert np.array_equal(a_mask.bits, b_mask.bits)
-        assert a_model.matrix.tobytes() == b_model.matrix.tobytes()
+        assert a_model.tobytes() == b_model.tobytes()
 
     def test_dense_scoring_memory_bounded(self):
         # 1000 hypotheses scored against every valid pixel: 1000 x 12,697 pairs
@@ -634,6 +650,26 @@ class TestRansac:
         monkeypatch.setattr(verify, "_count_inliers", counted)
         return drawn, calls
 
+    @staticmethod
+    def exhaustive_best(fwd, cfg):
+        """The subgrid, the ITERATIONS quads drawn from cfg's stream, their
+        hypotheses' counts on the subgrid and the earliest best hypothesis."""
+        pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
+        rng = Lcg64(cfg.seed)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(verify.ITERATIONS)])
+        models = _batch_dlt(pts[quads], coords[quads])
+        counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, cfg.inlier_threshold))
+                  for m in models]
+        return pts, coords, quads, counts, models[int(np.argmax(counts))]
+
+    @staticmethod
+    def full_grid_inliers(fwd, model, t):
+        """model's symmetric-transfer inliers over every valid pixel of fwd."""
+        grid_pts, grid_coords = _map_correspondences(fwd, 1)
+        bits = np.zeros(fwd.valid.shape, dtype=bool)
+        bits[fwd.valid] = verify._inlier_mask(model, grid_pts, grid_coords, t)
+        return bits
+
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_small_subgrid_equals_exhaustive_scoring(self, monkeypatch, seed):
         # a subgrid of at most PRESCREEN_TARGET pixels is its own probe, so
@@ -645,28 +681,42 @@ class TestRansac:
         fwd, _ = noisy_pair("tps", seed, 0.4, size=64)
         cfg = RansacConfig(seed=seed)
         t = cfg.inlier_threshold
-        pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
+        pts, coords, quads, counts, best = self.exhaustive_best(fwd, cfg)
         n = len(pts)
         assert n <= 32 * 32 <= verify.PRESCREEN_TARGET
-        rng = Lcg64(cfg.seed)
-        quads = np.array([rng.sample_distinct(n, 4) for _ in range(verify.ITERATIONS)])
-        models = _batch_dlt(pts[quads], coords[quads])
-        counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, t)) for m in models]
         first = verify.FIRST_ROUND
         assert max(counts[:first]) < n
-        best = models[int(np.argmax(counts))]
         inl = verify._inlier_mask(best, pts, coords, t)
         want = fit_homography_dlt(pts[inl], coords[inl])
-        grid_pts, grid_coords = _map_correspondences(fwd, 1)
-        want_bits = np.zeros(fwd.valid.shape, dtype=bool)
-        want_bits[fwd.valid] = verify._inlier_mask(want.matrix, grid_pts, grid_coords, t)
 
         drawn, calls = self.record_calls(monkeypatch)
         model, inliers = ransac_homography(fwd, cfg)
-        assert model.matrix.tobytes() == want.matrix.tobytes()
-        assert np.array_equal(inliers.bits, want_bits)
+        assert model.tobytes() == want.tobytes()
+        assert np.array_equal(inliers.bits, self.full_grid_inliers(fwd, want, t))
         assert np.array_equal(np.array(drawn), quads)
         assert calls == [(first, n), (verify.ITERATIONS - first, n), (verify.PRESCREEN_KEEP, n)]
+
+    def test_degenerate_refit_keeps_best_hypothesis(self, monkeypatch):
+        # when the refit on the best hypothesis's inliers is degenerate, the
+        # model is that hypothesis, bit for bit, and the mask its inliers
+        # over the full grid; the subgrid is its own probe, as above
+        monkeypatch.setattr(verify, "ITERATIONS", 300)
+        fwd, _ = noisy_pair("tps", 71, 0.4, size=64)
+        cfg = RansacConfig(seed=71)
+        best = self.exhaustive_best(fwd, cfg)[-1]
+        want_bits = self.full_grid_inliers(fwd, best, cfg.inlier_threshold)
+        # the refit's mask differs, so the mask shows which model it holds
+        assert not np.array_equal(ransac_homography(fwd, cfg)[1].bits, want_bits)
+
+        def degenerate(src, dst):
+            raise DegenerateModelError("degenerate point configuration")
+
+        monkeypatch.setattr(verify, "fit_homography_dlt", degenerate)
+        model, inliers = ransac_homography(fwd, cfg)
+        assert model.shape == (3, 3) and model.dtype == np.float64
+        assert model.tobytes() == best.tobytes()
+        assert not model.flags.writeable
+        assert np.array_equal(inliers.bits, want_bits)
 
     def test_every_subgrid_prescreened(self, monkeypatch):
         # 2500 subgrid pixels: the probe takes every second one, then the
@@ -751,16 +801,13 @@ class TestRansacConfig:
 
 def reference_counts(models, src, dst, t):
     """Row-wise inlier counts by the hypot reference; rows that are not a
-    valid homography (nan, singular) count nothing."""
+    valid homography (non-finite, or |det| <= 1e-12) count nothing."""
     counts = []
     for m in models:
-        try:
-            h = Homography(m)
-        except ValueError:
+        if not np.isfinite(m).all() or abs(np.linalg.det(m)) <= 1e-12:
             counts.append(0)
-            continue
-        assert h.matrix.tobytes() == m.tobytes()
-        counts.append(int((symmetric_transfer_error(h, src, dst) <= t).sum()))
+        else:
+            counts.append(int((symmetric_transfer_error(m, src, dst) <= t).sum()))
     return np.array(counts)
 
 
@@ -858,7 +905,7 @@ class TestScoreInvariants:
             assert np.array_equal(a.consistent_mask.bits, r.consistent_mask.bits)
             assert (a.homography is None) == (r.homography is None)
             if a.homography is not None:
-                assert a.homography.matrix.tobytes() == r.homography.matrix.tobytes()
+                assert a.homography.tobytes() == r.homography.tobytes()
 
 
 class TestVerificationResult:
@@ -915,9 +962,8 @@ class TestVerifyDirection:
         assert score_pair_s(o_ba, o_ab, cfg)[0] == s
 
     def test_symmetric_transfer_error_identity(self):
-        h = Homography(np.eye(3))
         src = np.array([[1.0, 2], [30, 40]])
-        err = symmetric_transfer_error(h, src, src + [3.0, 4.0])
+        err = symmetric_transfer_error(np.eye(3), src, src + [3.0, 4.0])
         assert np.allclose(err, 5.0)
 
 
@@ -925,7 +971,7 @@ def pair_digest(s, r_ab, r_ba):
     """sha256 over S and both directions' models, inlier and consistent masks."""
     h = hashlib.sha256(np.float64(s).tobytes())
     for r in (r_ab, r_ba):
-        h.update(r.homography.matrix.tobytes() if r.homography is not None else b"none")
+        h.update(r.homography.tobytes() if r.homography is not None else b"none")
         h.update(np.packbits(r.inlier_mask.bits).tobytes())
         h.update(np.packbits(r.consistent_mask.bits).tobytes())
     return h.hexdigest()
