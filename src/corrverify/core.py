@@ -28,8 +28,8 @@ import numpy as np
 # a pass that walks rows or pixels in blocks to stay in cache keeps each
 # block's float64 working set to about this many bytes: S_L's gathered
 # planes (a 480^2 planar pair has ~215k masked pixels of 50 channels, 86 MB
-# per plane if gathered at once), RANSAC's scoring planes and the
-# descriptor window sum
+# per plane if gathered at once), RANSAC's scoring planes, the descriptor
+# window sum and FeatureMap's finiteness check
 BLOCK_BYTES = 400 << 10
 
 
@@ -161,9 +161,13 @@ class FeatureMap:
             raise ValueError(f"feature map must be (H, W, C) with H, W >= 1 and C >= 1, "
                              f"got {v.shape}")
         # min and max propagate nan and report +-inf, without the boolean
-        # temporary of isfinite (11 MiB for a 480^2 x 50 hypercolumn)
-        if not (math.isfinite(v.min()) and math.isfinite(v.max())):
-            raise ValueError("feature map contains non-finite values")
+        # temporary of isfinite (11 MiB for a 480^2 x 50 hypercolumn); taken
+        # block by block, max reads each block from cache after min
+        flat, step = v.reshape(-1), BLOCK_BYTES // v.itemsize
+        for i in range(0, flat.size, step):
+            block = flat[i:i + step]
+            if not (math.isfinite(block.min()) and math.isfinite(block.max())):
+                raise ValueError("feature map contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

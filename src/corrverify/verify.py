@@ -80,7 +80,8 @@ def _canonical(H: np.ndarray) -> np.ndarray:
     scale = np.where(np.abs(h22) > 1e-8, h22, np.linalg.norm(H, axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         H = H / scale[:, None, None]
-        H[~(np.abs(np.linalg.det(H)) > 1e-12)] = np.nan
+        # an infinite entry can leave |det| infinite, which passes the test
+        H[~(np.abs(np.linalg.det(H)) > 1e-12) | ~np.isfinite(H).all(axis=(1, 2))] = np.nan
     return H
 
 
@@ -188,9 +189,10 @@ def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
     reproduce the hypot decision.
     """
     ph, sq = ph[:, :len(H)], sq[:len(H)]
-    np.matmul(H, pts_h, out=ph.transpose(1, 0, 2))
     dx, dy, w = ph
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # an infinite entry times a zero coordinate is nan, and tests False
+        np.matmul(H, pts_h, out=ph.transpose(1, 0, 2))
         np.divide(dx, w, out=dx)
         np.divide(dy, w, out=dy)
         dx -= target[0]
@@ -239,6 +241,46 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return next(_inlier_chunks(model[None], src, dst, threshold))[0]
 
 
+def _best_counts(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 threshold: float, keep: int) -> np.ndarray:
+    """(K,) symmetric-transfer inlier counts of every model that can rank
+    among the keep best by (count descending, index ascending), and -1 for
+    the others.
+
+    A pair passes the symmetric test only if it passes the forward one, so
+    a model's forward count bounds its symmetric count from above.  All
+    forward counts are taken first; symmetric counts then follow in windows
+    of (bound descending, index ascending) order and stop once no remaining
+    bound can beat the keep-th best exact (count, earlier index) pair.  A
+    model left at -1 would rank below every kept one, so the keep best, in
+    order, are those of _count_inliers.  Windows hold at most BLOCK_BYTES
+    per float64 plane, as in _inlier_chunks; at worst every model is
+    verified, 1.5 times the tests of _count_inliers.
+    """
+    src_h, dst_h = _homogeneous(src), _homogeneous(dst)
+    k = len(models)
+    step = max(1, min(k, BLOCK_BYTES // (8 * max(len(src), 1))))
+    ph, sq = np.empty((3, step, len(src))), np.empty((step, len(src)))
+    bound = np.empty(k, dtype=np.int64)
+    for i in range(0, k, step):
+        bound[i:i + step] = _inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq).sum(axis=1)
+    order = np.argsort(-bound, kind="stable")
+    counts = np.full(k, -1, dtype=np.int64)
+    for i in range(0, k, step):
+        if i >= keep:
+            done = order[:i]
+            j = done[np.lexsort((done, -counts[done]))[keep - 1]]
+            # the first model left has the largest bound, and the earliest
+            # index among equal bounds: if it cannot beat j, none can
+            m = order[i]
+            if bound[m] < counts[j] or (bound[m] == counts[j] and m > j):
+                break
+        w = order[i:i + step]
+        counts[w] = (_inliers(models[w], src_h, dst_h, threshold, ph, sq)
+                     & _inliers(_inverses(models[w]), dst_h, src_h, threshold, ph, sq)).sum(axis=1)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # RANSAC over a dense correspondence map
 # ---------------------------------------------------------------------------
@@ -260,6 +302,15 @@ def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # for w < 1 would stop at or below ITERATIONS.  RANSAC holds all drawn
 # hypotheses at once, about 2.5 KiB each (draws, DLT systems, SVD factors),
 # so the whole budget takes about 2.5 MiB.
+#
+# Both ranking stages, the second batch on the probe (keeping
+# PRESCREEN_KEEP) and the kept set on the subgrid (keeping 1), count
+# bound-then-verify with _best_counts.  Most hypotheses explain almost no
+# pixel, so their forward count alone shows they cannot rank and they skip
+# the backward test; the kept set, the refit and the mask stay those of
+# exhaustive counting, bit for bit, and at worst, with every hypothesis
+# verified, the tests are 1.5 times as many.  The first round is counted
+# exhaustively: the w = 1 stop needs its maximum.
 SAMPLE_STRIDE = 2
 PRESCREEN_TARGET = 1800
 PRESCREEN_KEEP = 48
@@ -316,6 +367,12 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     subgrid, and the best of them (ties to the earlier draw) is refit with
     DLT on its inliers, or kept as it is when they are degenerate; the mask
     holds the model's inliers over all valid pixels.
+
+    The second batch and the kept set are counted bound-then-verify: only
+    hypotheses whose forward count (an upper bound on the symmetric count)
+    can still rank take the backward test.  The kept set, model and mask
+    are those of counting every hypothesis both ways, bit for bit, with at
+    most 1.5 times its tests.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -329,24 +386,25 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     probe_pts, probe_coords = pts[::step], coords[::step]
 
     def draw(k):
-        """k more hypotheses from the stream and their probe counts."""
+        """k more hypotheses from the stream."""
         quads = np.empty((k, 4), dtype=np.int64)
         for i in range(k):
             quads[i] = rng.sample_distinct(n, 4)
         # RANSAC models map target grid -> source coords
-        batch = _batch_dlt(pts[quads], coords[quads])
-        return batch, _count_inliers(batch, probe_pts, probe_coords, t)
+        return _batch_dlt(pts[quads], coords[quads])
 
-    models, probe_counts = draw(FIRST_ROUND)
+    models = draw(FIRST_ROUND)
+    probe_counts = _count_inliers(models, probe_pts, probe_coords, t)
     if probe_counts.max() < len(probe_pts):
-        more, more_counts = draw(ITERATIONS - FIRST_ROUND)
+        more = draw(ITERATIONS - FIRST_ROUND)
         models = np.concatenate([models, more])
-        probe_counts = np.concatenate([probe_counts, more_counts])
+        probe_counts = np.concatenate(
+            [probe_counts, _best_counts(more, probe_pts, probe_coords, t, PRESCREEN_KEEP)])
     # stable sort keeps earlier iterations first among equal counts;
     # re-sorting the kept set preserves the ties-to-earliest rule below
     order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
     models = models[np.sort(order)]
-    counts = _count_inliers(models, pts, coords, t)
+    counts = _best_counts(models, pts, coords, t, 1)
     best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
     if counts[best_j] < max(4, config.min_inliers):
         return None, empty

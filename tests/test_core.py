@@ -517,6 +517,16 @@ class TestNonFinitePayload:
         with pytest.raises(ValueError, match="non-finite"):
             read_fmap(p)
 
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feature_map_checked_in_every_block(self, bad, where):
+        # 2.5 blocks of core.BLOCK_BYTES: the last block is partial
+        v = np.full((160, 160, 10), 0.5, dtype=np.float32)
+        assert v.size == 2.5 * (core.BLOCK_BYTES // v.itemsize)
+        v.reshape(-1)[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMap(v)
+
     def cmap_with_nan(self, tmp_path, valid_there):
         coords = np.ones((2, 3, 2), dtype="<f4")
         coords[1, 2] = np.nan

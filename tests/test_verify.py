@@ -36,6 +36,8 @@ from corrverify.verify import (
     RansacConfig,
     VerificationResult,
     _batch_dlt,
+    _best_counts,
+    _canonical,
     _count_inliers,
     _map_correspondences,
     cyclic_mask,
@@ -65,6 +67,17 @@ def symmetric_transfer_error(h: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
 
 
 class TestDlt:
+    def test_canonical_non_finite_rows_nan(self):
+        # |det| of a row with an infinite entry can be infinite, and pass
+        H = np.tile(np.eye(3), (5, 1, 1))
+        H[1, 0, 0] = np.inf
+        H[2, 1, 2] = -np.inf
+        H[3, 0, 1] = np.nan
+        H[4, 2, 2] = np.inf
+        got = _canonical(H)
+        assert np.array_equal(got[0], np.eye(3))
+        assert np.isnan(got[1:]).all()
+
     def test_unit_square_identity(self):
         pts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
         h = fit_homography_dlt(pts, pts)
@@ -633,21 +646,29 @@ class TestRansac:
 
     @staticmethod
     def record_calls(monkeypatch):
-        """(quads drawn through Lcg64.sample_distinct, (models, points) of
-        each _count_inliers call), both in call order."""
+        """(quads drawn through Lcg64.sample_distinct, the counting calls),
+        both in call order: ("count", models, points) for each
+        _count_inliers call and ("best", models, points, keep) for each
+        _best_counts call."""
         drawn, calls = [], []
-        real_draw, real_count = Lcg64.sample_distinct, verify._count_inliers
+        real_draw = Lcg64.sample_distinct
+        real_count, real_best = verify._count_inliers, verify._best_counts
 
         def recorded(self, n, k):
             drawn.append(real_draw(self, n, k))
             return drawn[-1]
 
         def counted(models, src, dst, threshold):
-            calls.append((len(models), len(src)))
+            calls.append(("count", len(models), len(src)))
             return real_count(models, src, dst, threshold)
+
+        def best(models, src, dst, threshold, keep):
+            calls.append(("best", len(models), len(src), keep))
+            return real_best(models, src, dst, threshold, keep)
 
         monkeypatch.setattr(Lcg64, "sample_distinct", recorded)
         monkeypatch.setattr(verify, "_count_inliers", counted)
+        monkeypatch.setattr(verify, "_best_counts", best)
         return drawn, calls
 
     @staticmethod
@@ -694,7 +715,11 @@ class TestRansac:
         assert model.tobytes() == want.tobytes()
         assert np.array_equal(inliers.bits, self.full_grid_inliers(fwd, want, t))
         assert np.array_equal(np.array(drawn), quads)
-        assert calls == [(first, n), (verify.ITERATIONS - first, n), (verify.PRESCREEN_KEEP, n)]
+        # the first round is counted exhaustively (the w = 1 stop needs its
+        # maximum); the second batch keeps PRESCREEN_KEEP, the subgrid 1
+        assert calls == [("count", first, n),
+                         ("best", verify.ITERATIONS - first, n, verify.PRESCREEN_KEEP),
+                         ("best", verify.PRESCREEN_KEEP, n, 1)]
 
     def test_degenerate_refit_keeps_best_hypothesis(self, monkeypatch):
         # when the refit on the best hypothesis's inliers is degenerate, the
@@ -727,7 +752,74 @@ class TestRansac:
         # the map is exact: a first-round hypothesis explains every probe
         # pixel, so the draws stop at FIRST_ROUND
         assert len(drawn) == verify.FIRST_ROUND == 16
-        assert calls == [(16, 1250), (16, 2500)]
+        assert calls == [("count", 16, 1250), ("best", 16, 2500, 1)]
+
+    # low-w TPS maps whose subgrid exceeds PRESCREEN_TARGET, as (size, seed,
+    # jitter in pixels, share of the map under an outlier patch)
+    LOW_W_MAPS = [(96, 1, 0.7, 0.1), (96, 2, 1.5, 0.2), (96, 3, 2.5, 0.3),
+                  (128, 1, 1.5, 0.3), (128, 2, 2.5, 0.1), (128, 3, 0.7, 0.2),
+                  (96, 1, 2.5, 0.2), (128, 2, 0.7, 0.3), (128, 3, 1.5, 0.1)]
+
+    @staticmethod
+    def exhaustive_ransac(fwd, cfg):
+        """ransac_homography's model and mask when every hypothesis is
+        counted in both directions by _count_inliers: all ITERATIONS on the
+        probe pixels, the PRESCREEN_KEEP best on the subgrid, then the
+        refit on the best one's inliers."""
+        pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
+        assert len(pts) > verify.PRESCREEN_TARGET
+        t = cfg.inlier_threshold
+        step = int(np.ceil(len(pts) / verify.PRESCREEN_TARGET))
+        probe_pts, probe_coords = pts[::step], coords[::step]
+        rng = Lcg64(cfg.seed)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(verify.ITERATIONS)])
+        models = _batch_dlt(pts[quads], coords[quads])
+        probe_counts = _count_inliers(models, probe_pts, probe_coords, t)
+        # no first-round hypothesis reaches w = 1, so the probe path runs
+        assert probe_counts[:verify.FIRST_ROUND].max() < len(probe_pts)
+        kept = models[np.sort(np.argsort(-probe_counts, kind="stable")[:verify.PRESCREEN_KEEP])]
+        counts = _count_inliers(kept, pts, coords, t)
+        assert counts.max() >= cfg.min_inliers
+        best = kept[int(np.argmax(counts))]
+        inl = verify._inlier_mask(best, pts, coords, t)
+        model = fit_homography_dlt(pts[inl], coords[inl])
+        return model, TestRansac.full_grid_inliers(fwd, model, t)
+
+    @pytest.mark.parametrize("size, seed, jitter, share", LOW_W_MAPS)
+    def test_probe_path_equals_exhaustive_scoring(self, size, seed, jitter, share):
+        # bound-then-verify ranking keeps the hypotheses, the refit and the
+        # mask of counting every hypothesis both ways, bit for bit
+        fwd = low_w_map(size, seed, jitter, share)
+        cfg = RansacConfig(seed=seed)
+        want_model, want_bits = self.exhaustive_ransac(fwd, cfg)
+        model, inliers = ransac_homography(fwd, cfg)
+        assert model.tobytes() == want_model.tobytes()
+        assert np.array_equal(inliers.bits, want_bits)
+
+    @pytest.mark.parametrize("size, seed, jitter, share", LOW_W_MAPS[:3])
+    def test_bound_skips_most_backward_tests(self, monkeypatch, size, seed, jitter, share):
+        # hypotheses x pixels over every _inliers call of one RANSAC call,
+        # against the same call with every hypothesis counted both ways:
+        # the ratio measured 0.638-0.647 on these maps; exhaustive scoring
+        # would read 1
+        fwd = low_w_map(size, seed, jitter, share)
+        cfg = RansacConfig(seed=seed)
+        tested = []
+        real = verify._inliers
+
+        def counted(H, pts_h, *rest):
+            tested.append(len(H) * pts_h.shape[1])
+            return real(H, pts_h, *rest)
+
+        monkeypatch.setattr(verify, "_inliers", counted)
+        model, _ = ransac_homography(fwd, cfg)
+        bounded = sum(tested)
+        tested.clear()
+        monkeypatch.setattr(verify, "_best_counts",
+                            lambda models, src, dst, t, keep: _count_inliers(models, src, dst, t))
+        want, _ = ransac_homography(fwd, cfg)
+        assert model.tobytes() == want.tobytes()
+        assert bounded <= 0.7 * sum(tested)
 
     def test_memory_bounded_at_budget(self, monkeypatch):
         # a map without inliers draws the whole budget, and RANSAC holds all
@@ -879,6 +971,68 @@ def noisy_pair(kind, seed, magnitude, size=48):
     y, x = rng.integers(0, size // 2, 2)
     coords[y:y + size // 3, x:x + size // 3] = rng.uniform(0, size - 1, (size // 3, size // 3, 2))
     return CorrespondenceMap(coords, fwd.valid), bwd
+
+
+def low_w_map(size, seed, jitter, share):
+    """Forward ground-truth map of a seeded TPS warp at magnitude 0.6,
+    jittered by jitter pixels and with a square patch of uniform outliers
+    over share of the map: few hypotheses explain many pixels."""
+    img = make_texture(size, size, seed)
+    _, fwd, _ = apply_warp(img, random_warp("tps", 0.6, seed, (size, size)))
+    rng = np.random.default_rng(seed)
+    coords = fwd.coords + rng.normal(0, jitter, fwd.coords.shape)
+    side = round(size * math.sqrt(share))
+    y, x = rng.integers(0, size - side + 1, 2)
+    coords[y:y + side, x:x + side] = rng.uniform(0, size - 1, (side, side, 2))
+    return CorrespondenceMap(coords, fwd.valid)
+
+
+class TestBestCounts:
+    """_best_counts gives _count_inliers' count to every model it verifies
+    and -1 only to models that cannot rank among the keep best."""
+
+    K = 120
+
+    @staticmethod
+    def model_set(case):
+        """(models, src, dst), K models: seeded hypotheses on a low-w map
+        with nan, +inf and -inf rows and exact ties ("mixed"), or
+        translations that explain no pixel ("all-zero")."""
+        k = TestBestCounts.K
+        pts, coords = _map_correspondences(low_w_map(64, 4, 1.5, 0.2), 1)
+        if case == "all-zero":
+            models = np.tile(np.eye(3), (k, 1, 1))
+            models[:, 0, 2] = 1e3 + np.arange(k)
+            return models, pts, coords
+        rng = Lcg64(9)
+        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
+        models = _batch_dlt(pts[quads], coords[quads])
+        counts = _count_inliers(models, pts, coords, 3.0)
+        best, mid = int(np.argmax(counts)), int(np.argsort(counts, kind="stable")[k // 2])
+        free = [i for i in range(k) if i not in (best, mid)]
+        # exact ties with the best and a median hypothesis, before and after
+        models[[free[0], free[60], free[-1]]] = models[best]
+        models[[free[1], free[-2]]] = models[mid]
+        models[free[2]] = np.nan
+        models[free[3], 0, 0] = np.inf
+        models[free[4], 1, 2] = -np.inf
+        models[free[5], 2, 1] = np.nan
+        return models, pts, coords
+
+    @pytest.mark.parametrize("keep", [1, 48, K, K + 5])
+    @pytest.mark.parametrize("case", ["mixed", "all-zero"])
+    def test_exact_where_it_can_rank(self, case, keep):
+        models, src, dst = self.model_set(case)
+        want = _count_inliers(models, src, dst, 3.0)
+        got = _best_counts(models, src, dst, 3.0, keep)
+        assert got.shape == want.shape
+        verified = got != -1
+        assert np.array_equal(got[verified], want[verified])
+        # the keep best by (count descending, index ascending), in order
+        idx = np.arange(len(models))
+        assert np.array_equal(np.lexsort((idx, -got))[:keep], np.lexsort((idx, -want))[:keep])
+        # models are left out only when fewer than all can rank
+        assert verified.all() == (keep >= len(models))
 
 
 class TestScoreInvariants:
