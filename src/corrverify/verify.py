@@ -253,9 +253,9 @@ def _best_counts(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
     of (bound descending, index ascending) order and stop once no remaining
     bound can beat the keep-th best exact (count, earlier index) pair.  A
     model left at -1 would rank below every kept one, so the keep best, in
-    order, are those of _count_inliers.  Windows hold at most BLOCK_BYTES
-    per float64 plane, as in _inlier_chunks; at worst every model is
-    verified, 1.5 times the tests of _count_inliers.
+    order, are those of _count_inliers.  Each window is one chunk of
+    _inlier_chunks, which sizes its chunks as the forward pass does; at
+    worst every model is verified, 1.5 times the tests of _count_inliers.
     """
     src_h, dst_h = _homogeneous(src), _homogeneous(dst)
     k = len(models)
@@ -276,8 +276,7 @@ def _best_counts(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
             if bound[m] < counts[j] or (bound[m] == counts[j] and m > j):
                 break
         w = order[i:i + step]
-        counts[w] = (_inliers(models[w], src_h, dst_h, threshold, ph, sq)
-                     & _inliers(_inverses(models[w]), dst_h, src_h, threshold, ph, sq)).sum(axis=1)
+        counts[w] = next(_inlier_chunks(models[w], src, dst, threshold)).sum(axis=1)
     return counts
 
 
