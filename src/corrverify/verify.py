@@ -213,71 +213,64 @@ def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
     return ok
 
 
-def _inlier_chunks(models: np.ndarray, src: np.ndarray, dst: np.ndarray, threshold: float):
-    """Symmetric inlier masks of (K, 3, 3) models on src -> dst pairs, as
-    (chunk, N) blocks over K: a pair is an inlier iff it passes the forward
-    and the backward test.  Each chunk's (chunk, N) float64 planes hold at
-    most BLOCK_BYTES."""
-    inv = _inverses(models)
-    src_h, dst_h = _homogeneous(src), _homogeneous(dst)
-    step = max(1, min(len(models), BLOCK_BYTES // (8 * max(len(src), 1))))
-    # allocated once and reused: fresh planes of this size sit near malloc's
-    # mmap threshold and would be mapped and page-faulted anew for every ufunc
-    ph, sq = np.empty((3, step, len(src))), np.empty((step, len(src)))
-    for i in range(0, len(models), step):
-        yield (_inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq)
-               & _inliers(inv[i:i + step], dst_h, src_h, threshold, ph, sq))
+def _scratch(k: int, n: int):
+    """(chunk, ph, sq) for k models of n pairs: the chunk of models whose
+    float64 planes hold at most BLOCK_BYTES, and _inliers' scratch for it.
+    Reuse the scratch: fresh planes of this size sit near malloc's mmap
+    threshold and would be mapped and page-faulted anew for every ufunc."""
+    step = max(1, min(k, BLOCK_BYTES // (8 * max(n, 1))))
+    return step, np.empty((3, step, n)), np.empty((step, n))
 
 
-def _count_inliers(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   threshold: float) -> np.ndarray:
-    """(K,) symmetric-transfer inlier counts."""
-    return np.concatenate([m.sum(axis=1) for m in _inlier_chunks(models, src, dst, threshold)])
+def _symmetric(models: np.ndarray, src_h: np.ndarray, dst_h: np.ndarray, t: float,
+               ph: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(K, N) bool symmetric-transfer inlier masks of (K, 3, 3) models on
+    the (3, N) homogeneous pairs src_h -> dst_h, with K at most the chunk of
+    the _scratch planes ph and sq: a pair is an inlier iff it passes the
+    forward and the backward test."""
+    return (_inliers(models, src_h, dst_h, t, ph, sq)
+            & _inliers(_inverses(models), dst_h, src_h, t, ph, sq))
 
 
 def _inlier_mask(model: np.ndarray, src: np.ndarray, dst: np.ndarray,
                  threshold: float) -> np.ndarray:
     """(N,) symmetric-transfer inlier mask of one (3, 3) model."""
-    return next(_inlier_chunks(model[None], src, dst, threshold))[0]
+    _, ph, sq = _scratch(1, len(src))
+    return _symmetric(model[None], _homogeneous(src), _homogeneous(dst), threshold, ph, sq)[0]
 
 
-def _best_counts(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 threshold: float, keep: int) -> np.ndarray:
-    """(K,) symmetric-transfer inlier counts of every model that can rank
-    among the keep best by (count descending, index ascending), and -1 for
-    the others.
+def _best(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
+          threshold: float, keep: int):
+    """Indices, ascending, and exact symmetric-transfer inlier counts of the
+    keep best (K, 3, 3) models on src -> dst pairs, ranked by count
+    descending and then by index ascending: the earlier draw wins a tie.
 
     A pair passes the symmetric test only if it passes the forward one, so
-    a model's forward count bounds its symmetric count from above.  All
-    forward counts are taken first; symmetric counts then follow in windows
-    of (bound descending, index ascending) order and stop once no remaining
-    bound can beat the keep-th best exact (count, earlier index) pair.  A
-    model left at -1 would rank below every kept one, so the keep best, in
-    order, are those of _count_inliers.  Each window is one chunk of
-    _inlier_chunks, which sizes its chunks as the forward pass does; at
-    worst every model is verified, 1.5 times the tests of _count_inliers.
+    a model's forward count bounds its symmetric count.  All forward counts
+    are taken first; symmetric counts follow in windows of (bound
+    descending, index ascending) order, one _scratch chunk each, and stop
+    once the next model ranks after the keep-th best even at its bound.
+    Every model left has no larger a bound, and a later index among equal
+    bounds, so none can rank: the result is that of counting every model
+    both ways, with at worst 1.5 times its tests.
     """
     src_h, dst_h = _homogeneous(src), _homogeneous(dst)
     k = len(models)
-    step = max(1, min(k, BLOCK_BYTES // (8 * max(len(src), 1))))
-    ph, sq = np.empty((3, step, len(src))), np.empty((step, len(src)))
-    bound = np.empty(k, dtype=np.int64)
-    for i in range(0, k, step):
-        bound[i:i + step] = _inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq).sum(axis=1)
+    step, ph, sq = _scratch(k, len(src))
+    bound = np.concatenate([_inliers(models[i:i + step], src_h, dst_h, threshold, ph, sq).sum(axis=1)
+                            for i in range(0, k, step)])
     order = np.argsort(-bound, kind="stable")
-    counts = np.full(k, -1, dtype=np.int64)
-    for i in range(0, k, step):
-        if i >= keep:
-            done = order[:i]
-            j = done[np.lexsort((done, -counts[done]))[keep - 1]]
-            # the first model left has the largest bound, and the earliest
-            # index among equal bounds: if it cannot beat j, none can
-            m = order[i]
-            if bound[m] < counts[j] or (bound[m] == counts[j] and m > j):
-                break
-        w = order[i:i + step]
-        counts[w] = next(_inlier_chunks(models[w], src, dst, threshold)).sum(axis=1)
-    return counts
+    counts = np.empty(k, dtype=np.int64)
+    seen, top = 0, order[:0]
+    while seen < k and (len(top) < keep or
+                        (-bound[order[seen]], order[seen]) < (-counts[top[-1]], top[-1])):
+        window = order[seen:seen + step]
+        counts[window] = _symmetric(models[window], src_h, dst_h, threshold, ph, sq).sum(axis=1)
+        seen += len(window)
+        done = order[:seen]
+        top = done[np.lexsort((done, -counts[done]))[:keep]]
+    top = np.sort(top)
+    return top, counts[top]
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +295,12 @@ def _best_counts(models: np.ndarray, src: np.ndarray, dst: np.ndarray,
 # hypotheses at once, about 2.5 KiB each (draws, DLT systems, SVD factors),
 # so the whole budget takes about 2.5 MiB.
 #
-# Both ranking stages, the second batch on the probe (keeping
-# PRESCREEN_KEEP) and the kept set on the subgrid (keeping 1), count
-# bound-then-verify with _best_counts.  Most hypotheses explain almost no
-# pixel, so their forward count alone shows they cannot rank and they skip
-# the backward test; the kept set, the refit and the mask stay those of
-# exhaustive counting, bit for bit, and at worst, with every hypothesis
-# verified, the tests are 1.5 times as many.  The first round is counted
-# exhaustively: the w = 1 stop needs its maximum.
+# Each ranking, the w = 1 stop (keeping 1), the prescreen (keeping
+# PRESCREEN_KEEP) and the subgrid pick (keeping 1), is one bound-then-verify
+# _best call.  Most hypotheses explain almost no pixel, so their forward
+# count alone shows they cannot rank and they skip the backward test; the
+# kept set, the refit and the mask stay those of exhaustive counting, bit
+# for bit, with at worst 1.5 times its tests.
 SAMPLE_STRIDE = 2
 PRESCREEN_TARGET = 1800
 PRESCREEN_KEEP = 48
@@ -361,17 +352,15 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
     for a given seed.  The first FIRST_ROUND hypotheses are fitted in one
     DLT batch and counted on the probe pixels.  If one of them explains
     every probe pixel (w = 1, as on an exact map) the draws stop there;
-    otherwise one second batch draws the other ITERATIONS - FIRST_ROUND.
-    The PRESCREEN_KEEP best of all drawn hypotheses are counted on the
-    subgrid, and the best of them (ties to the earlier draw) is refit with
-    DLT on its inliers, or kept as it is when they are degenerate; the mask
-    holds the model's inliers over all valid pixels.
+    otherwise one second batch draws the other ITERATIONS - FIRST_ROUND and
+    only the PRESCREEN_KEEP best of all drawn hypotheses on the probe are
+    kept.  The kept hypotheses are counted on the subgrid, and the best of
+    them (ties to the earlier draw) is refit with DLT on its inliers, or
+    kept as it is when they are degenerate; the mask holds the model's
+    inliers over all valid pixels.
 
-    The second batch and the kept set are counted bound-then-verify: only
-    hypotheses whose forward count (an upper bound on the symmetric count)
-    can still rank take the backward test.  The kept set, model and mask
-    are those of counting every hypothesis both ways, bit for bit, with at
-    most 1.5 times its tests.
+    Each ranking is one _best call, so the kept set, model and mask are
+    those of counting every hypothesis both ways, bit for bit.
     """
     empty = Mask(np.zeros((cmap.height, cmap.width), dtype=bool))
     pts, coords = _map_correspondences(cmap, SAMPLE_STRIDE)
@@ -393,22 +382,18 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
         return _batch_dlt(pts[quads], coords[quads])
 
     models = draw(FIRST_ROUND)
-    probe_counts = _count_inliers(models, probe_pts, probe_coords, t)
-    if probe_counts.max() < len(probe_pts):
-        more = draw(ITERATIONS - FIRST_ROUND)
-        models = np.concatenate([models, more])
-        probe_counts = np.concatenate(
-            [probe_counts, _best_counts(more, probe_pts, probe_coords, t, PRESCREEN_KEEP)])
-    # stable sort keeps earlier iterations first among equal counts;
-    # re-sorting the kept set preserves the ties-to-earliest rule below
-    order = np.argsort(-probe_counts, kind="stable")[:PRESCREEN_KEEP]
-    models = models[np.sort(order)]
-    counts = _best_counts(models, pts, coords, t, 1)
-    best_j = int(np.argmax(counts))  # first occurrence = earliest iteration
-    if counts[best_j] < max(4, config.min_inliers):
+    # w < 1: draw the rest and prescreen.  The prescreen runs only after a
+    # second batch: FIRST_ROUND (16) < PRESCREEN_KEEP (48), so it would
+    # keep every first-round hypothesis
+    (_,), (most,) = _best(models, probe_pts, probe_coords, t, 1)
+    if most < len(probe_pts):
+        models = np.concatenate([models, draw(ITERATIONS - FIRST_ROUND)])
+        models = models[_best(models, probe_pts, probe_coords, t, PRESCREEN_KEEP)[0]]
+    (j,), (count,) = _best(models, pts, coords, t, 1)
+    if count < max(4, config.min_inliers):
         return None, empty
 
-    best = models[best_j]
+    best = models[j]
     best.flags.writeable = False
     inl = _inlier_mask(best, pts, coords, t)
     try:

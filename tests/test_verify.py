@@ -1,5 +1,6 @@
 """Homography fitting, RANSAC, cyclic consistency and similarity scores."""
 
+import functools
 import hashlib
 import math
 import sys
@@ -36,9 +37,8 @@ from corrverify.verify import (
     RansacConfig,
     VerificationResult,
     _batch_dlt,
-    _best_counts,
+    _best,
     _canonical,
-    _count_inliers,
     _map_correspondences,
     cyclic_mask,
     fit_homography_dlt,
@@ -617,11 +617,12 @@ class TestRansac:
         models = _batch_dlt(pts[quads], coords[quads])
         tracemalloc.start()
         try:
-            counts = _count_inliers(models, pts, coords, 3.0)
+            idx, counts = _best(models, pts, coords, 3.0, len(models))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+        assert np.array_equal(idx, np.arange(len(models)))
         # the hypot reference's row-wise counts for these hypotheses
         assert hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest() == \
             "0de8c0493f911bd579fa1a64d6458790f131b1325c7b8a3851782f21979d7328"
@@ -646,29 +647,22 @@ class TestRansac:
 
     @staticmethod
     def record_calls(monkeypatch):
-        """(quads drawn through Lcg64.sample_distinct, the counting calls),
-        both in call order: ("count", models, points) for each
-        _count_inliers call and ("best", models, points, keep) for each
-        _best_counts call."""
+        """(quads drawn through Lcg64.sample_distinct, the ranking calls),
+        both in call order: ("best", models, points, keep) for each _best
+        call."""
         drawn, calls = [], []
-        real_draw = Lcg64.sample_distinct
-        real_count, real_best = verify._count_inliers, verify._best_counts
+        real_draw, real_best = Lcg64.sample_distinct, verify._best
 
         def recorded(self, n, k):
             drawn.append(real_draw(self, n, k))
             return drawn[-1]
-
-        def counted(models, src, dst, threshold):
-            calls.append(("count", len(models), len(src)))
-            return real_count(models, src, dst, threshold)
 
         def best(models, src, dst, threshold, keep):
             calls.append(("best", len(models), len(src), keep))
             return real_best(models, src, dst, threshold, keep)
 
         monkeypatch.setattr(Lcg64, "sample_distinct", recorded)
-        monkeypatch.setattr(verify, "_count_inliers", counted)
-        monkeypatch.setattr(verify, "_best_counts", best)
+        monkeypatch.setattr(verify, "_best", best)
         return drawn, calls
 
     @staticmethod
@@ -679,8 +673,7 @@ class TestRansac:
         rng = Lcg64(cfg.seed)
         quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(verify.ITERATIONS)])
         models = _batch_dlt(pts[quads], coords[quads])
-        counts = [np.count_nonzero(verify._inlier_mask(m, pts, coords, cfg.inlier_threshold))
-                  for m in models]
+        counts = mask_counts(models, pts, coords, cfg.inlier_threshold)
         return pts, coords, quads, counts, models[int(np.argmax(counts))]
 
     @staticmethod
@@ -715,10 +708,10 @@ class TestRansac:
         assert model.tobytes() == want.tobytes()
         assert np.array_equal(inliers.bits, self.full_grid_inliers(fwd, want, t))
         assert np.array_equal(np.array(drawn), quads)
-        # the first round is counted exhaustively (the w = 1 stop needs its
-        # maximum); the second batch keeps PRESCREEN_KEEP, the subgrid 1
-        assert calls == [("count", first, n),
-                         ("best", verify.ITERATIONS - first, n, verify.PRESCREEN_KEEP),
+        # the w = 1 stop keeps the first round's best, the prescreen of all
+        # drawn hypotheses PRESCREEN_KEEP, and the subgrid pick 1
+        assert calls == [("best", first, n, 1),
+                         ("best", verify.ITERATIONS, n, verify.PRESCREEN_KEEP),
                          ("best", verify.PRESCREEN_KEEP, n, 1)]
 
     def test_degenerate_refit_keeps_best_hypothesis(self, monkeypatch):
@@ -750,9 +743,9 @@ class TestRansac:
         model, inliers = ransac_homography(identity_map(100, 100), RansacConfig(seed=1))
         assert model is not None and inliers.count() == 100 * 100
         # the map is exact: a first-round hypothesis explains every probe
-        # pixel, so the draws stop at FIRST_ROUND
+        # pixel, so the draws stop at FIRST_ROUND, and no prescreen runs
         assert len(drawn) == verify.FIRST_ROUND == 16
-        assert calls == [("count", 16, 1250), ("best", 16, 2500, 1)]
+        assert calls == [("best", 16, 1250, 1), ("best", 16, 2500, 1)]
 
     # low-w TPS maps whose subgrid exceeds PRESCREEN_TARGET, as (size, seed,
     # jitter in pixels, share of the map under an outlier patch)
@@ -763,9 +756,9 @@ class TestRansac:
     @staticmethod
     def exhaustive_ransac(fwd, cfg):
         """ransac_homography's model and mask when every hypothesis is
-        counted in both directions by _count_inliers: all ITERATIONS on the
-        probe pixels, the PRESCREEN_KEEP best on the subgrid, then the
-        refit on the best one's inliers."""
+        counted in both directions, one _inlier_mask each: all ITERATIONS
+        on the probe pixels, the PRESCREEN_KEEP best on the subgrid, then
+        the refit on the best one's inliers."""
         pts, coords = _map_correspondences(fwd, verify.SAMPLE_STRIDE)
         assert len(pts) > verify.PRESCREEN_TARGET
         t = cfg.inlier_threshold
@@ -774,11 +767,11 @@ class TestRansac:
         rng = Lcg64(cfg.seed)
         quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(verify.ITERATIONS)])
         models = _batch_dlt(pts[quads], coords[quads])
-        probe_counts = _count_inliers(models, probe_pts, probe_coords, t)
+        probe_counts = mask_counts(models, probe_pts, probe_coords, t)
         # no first-round hypothesis reaches w = 1, so the probe path runs
         assert probe_counts[:verify.FIRST_ROUND].max() < len(probe_pts)
         kept = models[np.sort(np.argsort(-probe_counts, kind="stable")[:verify.PRESCREEN_KEEP])]
-        counts = _count_inliers(kept, pts, coords, t)
+        counts = mask_counts(kept, pts, coords, t)
         assert counts.max() >= cfg.min_inliers
         best = kept[int(np.argmax(counts))]
         inl = verify._inlier_mask(best, pts, coords, t)
@@ -799,9 +792,9 @@ class TestRansac:
     @pytest.mark.parametrize("size, seed, jitter, share", LOW_W_MAPS[:3])
     def test_bound_skips_most_backward_tests(self, monkeypatch, size, seed, jitter, share):
         # hypotheses x pixels over every _inliers call of one RANSAC call,
-        # against the same call with every hypothesis counted both ways:
-        # the ratio measured 0.638-0.647 on these maps; exhaustive scoring
-        # would read 1
+        # against the same call with _best replaced by exhaustive_best,
+        # which counts every hypothesis both ways: the ratio measured
+        # 0.643-0.652 on these maps; exhaustive scoring would read 1
         fwd = low_w_map(size, seed, jitter, share)
         cfg = RansacConfig(seed=seed)
         tested = []
@@ -815,8 +808,7 @@ class TestRansac:
         model, _ = ransac_homography(fwd, cfg)
         bounded = sum(tested)
         tested.clear()
-        monkeypatch.setattr(verify, "_best_counts",
-                            lambda models, src, dst, t, keep: _count_inliers(models, src, dst, t))
+        monkeypatch.setattr(verify, "_best", exhaustive_best)
         want, _ = ransac_homography(fwd, cfg)
         assert model.tobytes() == want.tobytes()
         assert bounded <= 0.7 * sum(tested)
@@ -891,6 +883,26 @@ class TestRansacConfig:
         assert model is not None and inliers.count() == 40 * 40
 
 
+def mask_counts(models, src, dst, t):
+    """(K,) counts of each model's _inlier_mask: every pair tested both
+    ways, one model at a time."""
+    return np.array([np.count_nonzero(verify._inlier_mask(m, src, dst, t)) for m in models])
+
+
+def ranked(counts, keep):
+    """Indices, ascending, of the keep best counts by (count descending,
+    index ascending), ranked by sorted() rather than by numpy."""
+    return np.array(sorted(sorted(range(len(counts)), key=lambda i: (-counts[i], i))[:keep]),
+                    dtype=np.int64)
+
+
+def exhaustive_best(models, src, dst, t, keep):
+    """verify._best with every model counted both ways, by mask_counts."""
+    counts = mask_counts(models, src, dst, t)
+    top = ranked(counts, keep)
+    return top, counts[top]
+
+
 def reference_counts(models, src, dst, t):
     """Row-wise inlier counts by the hypot reference; rows that are not a
     valid homography (non-finite, or |det| <= 1e-12) count nothing."""
@@ -941,7 +953,8 @@ class TestInlierKernel:
         models = np.concatenate([models, [np.eye(3), horizon, np.full((3, 3), np.nan),
                                           np.diag([1.0, 1.0, 0.0]), truth]])
         assert np.isnan(models[:3]).all()
-        got = _count_inliers(models, src, dst, t)
+        idx, got = _best(models, src, dst, t, len(models))
+        assert np.array_equal(idx, np.arange(len(models)))
         assert np.array_equal(got, reference_counts(models, src, dst, t))
         assert got[-5] > 0 and got[-4] > 0 and got[-3] == got[-2] == 0
 
@@ -988,51 +1001,90 @@ def low_w_map(size, seed, jitter, share):
 
 
 class TestBestCounts:
-    """_best_counts gives _count_inliers' count to every model it verifies
-    and -1 only to models that cannot rank among the keep best."""
+    """_best gives the keep best models by (count descending, index
+    ascending) and their counts by the hypot reference, however its windows
+    split the models."""
 
     K = 120
 
-    @staticmethod
-    def model_set(case):
-        """(models, src, dst), K models: seeded hypotheses on a low-w map
-        with nan, +inf and -inf rows and exact ties ("mixed"), or
-        translations that explain no pixel ("all-zero")."""
-        k = TestBestCounts.K
-        pts, coords = _map_correspondences(low_w_map(64, 4, 1.5, 0.2), 1)
-        if case == "all-zero":
-            models = np.tile(np.eye(3), (k, 1, 1))
-            models[:, 0, 2] = 1e3 + np.arange(k)
-            return models, pts, coords
-        rng = Lcg64(9)
-        quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
-        models = _batch_dlt(pts[quads], coords[quads])
-        counts = _count_inliers(models, pts, coords, 3.0)
-        best, mid = int(np.argmax(counts)), int(np.argsort(counts, kind="stable")[k // 2])
-        free = [i for i in range(k) if i not in (best, mid)]
-        # exact ties with the best and a median hypothesis, before and after
-        models[[free[0], free[60], free[-1]]] = models[best]
-        models[[free[1], free[-2]]] = models[mid]
-        models[free[2]] = np.nan
-        models[free[3], 0, 0] = np.inf
-        models[free[4], 1, 2] = -np.inf
-        models[free[5], 2, 1] = np.nan
-        return models, pts, coords
+    CASES = ["mixed", "all-zero", "bound-tie"]
 
-    @pytest.mark.parametrize("keep", [1, 48, K, K + 5])
-    @pytest.mark.parametrize("case", ["mixed", "all-zero"])
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def model_set(case):
+        """(models, src, dst, reference counts), K models: seeded hypotheses
+        on a low-w map with nan, +inf and -inf rows and exact ties
+        ("mixed"), translations that explain no pixel ("all-zero"), or such
+        translations and two models whose counts tie, where the later one's
+        forward count is larger ("bound-tie")."""
+        k = TestBestCounts.K
+        models = np.tile(np.eye(3), (k, 1, 1))
+        models[:, 0, 2] = 1e3 + np.arange(k)
+        if case == "bound-tie":
+            # the identity (model 5) explains the first 10 pairs both ways;
+            # a scaling by 1/2 (model 6) explains the next 10 both ways, and
+            # the last 5 only forward: off by 2.5 forward and 5 backward
+            rng = np.random.default_rng(5)
+            pts = rng.uniform(20, 100, (25, 2))
+            ang = rng.uniform(0, 2 * np.pi, 25)
+            off = np.repeat([0.0, 1.0, 2.5], [10, 10, 5])[:, None]
+            coords = 0.5 * pts + off * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            coords[:10] = pts[:10]
+            models[5], models[6] = np.eye(3), np.diag([0.5, 0.5, 1.0])
+            return TestBestCounts.frozen(models, pts, coords)
+        pts, coords = _map_correspondences(low_w_map(64, 4, 1.5, 0.2), 1)
+        if case == "mixed":
+            rng = Lcg64(9)
+            quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
+            models = _batch_dlt(pts[quads], coords[quads])
+            counts = reference_counts(models, pts, coords, 3.0)
+            best, mid = int(np.argmax(counts)), int(np.argsort(counts, kind="stable")[k // 2])
+            free = [i for i in range(k) if i not in (best, mid)]
+            # exact ties with the best and a median hypothesis, before and after
+            models[[free[0], free[60], free[-1]]] = models[best]
+            models[[free[1], free[-2]]] = models[mid]
+            models[free[2]] = np.nan
+            models[free[3], 0, 0] = np.inf
+            models[free[4], 1, 2] = -np.inf
+            models[free[5], 2, 1] = np.nan
+        return TestBestCounts.frozen(models, pts, coords)
+
+    @staticmethod
+    def frozen(models, src, dst):
+        """(models, src, dst, reference counts), read-only: model_set's
+        cache hands the same arrays to every test."""
+        arrays = models, src, dst, reference_counts(models, src, dst, 3.0)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def test_bound_tie_set(self):
+        models, src, dst, want = self.model_set("bound-tie")
+        assert want[5] == want[6] == 10 and np.count_nonzero(want) == 2
+        fwd = [np.count_nonzero(np.hypot(*(project(m, src) - dst).T) <= 3.0) for m in models[5:7]]
+        assert fwd == [10, 15]
+
+    def check(self, case, keep):
+        models, src, dst, want = self.model_set(case)
+        idx, got = _best(models, src, dst, 3.0, keep)
+        assert np.array_equal(idx, ranked(want, keep))
+        assert np.array_equal(got, want[idx])
+
+    @pytest.mark.parametrize("keep", [1, 2, 48, K, K + 5])
+    @pytest.mark.parametrize("case", CASES)
     def test_exact_where_it_can_rank(self, case, keep):
-        models, src, dst = self.model_set(case)
-        want = _count_inliers(models, src, dst, 3.0)
-        got = _best_counts(models, src, dst, 3.0, keep)
-        assert got.shape == want.shape
-        verified = got != -1
-        assert np.array_equal(got[verified], want[verified])
-        # the keep best by (count descending, index ascending), in order
-        idx = np.arange(len(models))
-        assert np.array_equal(np.lexsort((idx, -got))[:keep], np.lexsort((idx, -want))[:keep])
-        # models are left out only when fewer than all can rank
-        assert verified.all() == (keep >= len(models))
+        self.check(case, keep)
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    @pytest.mark.parametrize("keep", [1, 2, 48, K, K + 5])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exact_across_windows(self, monkeypatch, case, keep, window):
+        # windows of 1, 2 and 7 models split the exact ties, so the stop
+        # meets a bound equal to the keep-th best count at a later index
+        # ("mixed": stop) and at an earlier one ("bound-tie", window 1:
+        # model 6 is verified first, and model 5 still takes the lead)
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 8 * len(self.model_set(case)[1]) * window)
+        self.check(case, keep)
 
 
 class TestScoreInvariants:
@@ -1171,8 +1223,9 @@ class TestSplitKernels:
         rng = Lcg64(3)
         quads = np.array([rng.sample_distinct(len(pts), 4) for _ in range(k)])
         models = _batch_dlt(pts[quads], coords[quads])
-        want = [np.count_nonzero(verify._inlier_mask(m, pts, coords, 3.0)) for m in models]
-        assert _count_inliers(models, pts, coords, 3.0).tolist() == want
+        want = mask_counts(models, pts, coords, 3.0)
+        idx, got = _best(models, pts, coords, 3.0, k)
+        assert idx.tolist() == list(range(k)) and got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("h", [1, 2, 7, 48])
     def test_cyclic_matches_oracle(self, h):
