@@ -1,6 +1,8 @@
 """Package declarations: every documented module, script entry point,
 declared dependency and benchmark-traced layer must exist."""
 
+import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +18,7 @@ import corrverify
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+SRC = ROOT / "src" / "corrverify"
 
 
 def documented_modules() -> list:
@@ -94,3 +97,66 @@ def test_benchmark_traced_layers_resolve():
     for module, cls, method in spans.LAYER_METHODS:
         owner = getattr(importlib.import_module(f"corrverify.{module}"), cls, None)
         assert callable(getattr(owner, method, None)), f"corrverify.{module}.{cls}.{method} does not resolve"
+
+
+def source_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def loaded_names(tree: ast.AST, skip: ast.AST = None) -> collections.Counter:
+    """Names read in tree, as bare names or attributes, outside skip."""
+    names, stack = collections.Counter(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) for each top-level _private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in assigned if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_private_names_used_in_source():
+    # a private name kept in src/ only for the tests is a second path to keep
+    # in step; recursion inside its own definition does not count as a use
+    trees = source_trees()
+    dead = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            uses = sum(loaded_names(other, skip=node if other is tree else None)[name]
+                       for other in trees.values())
+            if not uses:
+                dead.append(f"{module}:{name}")
+    assert dead == []
+
+
+def test_source_imports_used():
+    unused = []
+    for module, tree in source_trees().items():
+        read = loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if not read[bound]:
+                        unused.append(f"{module}:{bound}")
+    assert unused == []
