@@ -215,9 +215,9 @@ def _inliers(H: np.ndarray, pts_h: np.ndarray, target: np.ndarray, t: float,
 
 def _scratch(k: int, n: int):
     """(chunk, ph, sq) for k models of n pairs: the chunk of models whose
-    float64 planes hold at most BLOCK_BYTES, and _inliers' scratch for it.
-    Reuse the scratch: fresh planes of this size sit near malloc's mmap
-    threshold and would be mapped and page-faulted anew for every ufunc."""
+    float64 planes hold at most BLOCK_BYTES (or one model), and _inliers'
+    scratch for it.  Reuse the scratch: fresh planes of this size sit near
+    malloc's mmap threshold, so every ufunc would map and fault them anew."""
     step = max(1, min(k, BLOCK_BYTES // (8 * max(n, 1))))
     return step, np.empty((3, step, n)), np.empty((step, n))
 
