@@ -29,7 +29,8 @@ import numpy as np
 # block's float64 working set to about this many bytes: S_L's gathered
 # planes (a 480^2 planar pair has ~215k masked pixels of 50 channels, 86 MB
 # per plane if gathered at once), RANSAC's scoring planes, the descriptor
-# window sum and FeatureMap's finiteness check
+# window sum, FeatureMap's finiteness check and the TPS basis planes of
+# synth's warps (4 MiB per plane for a 240^2 grid against 9 controls)
 BLOCK_BYTES = 400 << 10
 
 

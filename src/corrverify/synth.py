@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     CorrespondenceMap,
     Image,
     bilinear_sample_grid,
@@ -50,8 +51,9 @@ class WarpSpec:
     homography read a (3, 3) "matrix", tps reads "controls" and "targets",
     both (n, 2) with n >= 3.  A missing or misshapen one raises ValueError,
     as does any param entry that is not finite (a manifest read back from
-    JSON can carry NaN); a singular matrix is kept, and the invertibility
-    probe rejects it.
+    JSON can carry NaN), a repeated control or controls all on one line
+    (no spline passes through them); a singular matrix is kept, and the
+    invertibility probe rejects it.
     """
 
     kind: str
@@ -76,6 +78,13 @@ class WarpSpec:
             if v.shape != want or len(v) < 3:
                 shape = "(3, 3)" if name == "matrix" else "(n, 2), n >= 3 as in controls"
                 raise ValueError(f"{self.kind} param {name!r} must be {shape}, got {v.shape}")
+        if self.kind == "tps":
+            # exactly when the TPS system is solvable
+            c = read["controls"]
+            if (len(np.unique(c, axis=0)) < len(c)
+                    or np.linalg.matrix_rank(np.column_stack([np.ones(len(c)), c])) < 3):
+                raise ValueError("tps param 'controls' must be distinct points, "
+                                 "not all on one line")
         object.__setattr__(self, "params", {**self.params, **read})
 
     def to_dict(self) -> dict:
@@ -135,20 +144,38 @@ def _tps_solve(spec: WarpSpec):
 
 def _tps_eval(tps, pts: np.ndarray, jacobian: bool = False):
     """Warped (N, 2) points of a solved TPS and, with ``jacobian``, their
-    (N, 2, 2) Jacobians d(warped)/d(source), from one basis evaluation."""
+    (N, 2, 2) Jacobians d(warped)/d(source), from one basis evaluation.
+
+    The points go through in blocks of BLOCK_BYTES // (8 n) rows for n
+    controls, rounded down to a multiple of 16, so each (block, n) basis
+    plane stays in cache; a last remainder shorter than 16 rows joins the
+    block before it.  The bits equal one whole-array evaluation's on one
+    OpenBLAS thread: every product keeps its operand layout, a block that
+    starts at a multiple of 16 puts each row in the same place of the BLAS
+    kernel's unrolled loop or its tail, and no block is a 1-row product,
+    which numpy sends to another kernel.  Products of this size also stay
+    on the calling thread, whereas OpenBLAS splits one long product between
+    its threads at a row off the kernel's unroll, so that its bits change
+    with the thread count.
+    """
     controls, sol = tps
     wts = sol[: len(controls)]           # (n_ctl, 2)
     affine = sol[len(controls):]         # (3, 2)
-    u, grad = _tps_basis(pts, controls, jacobian)
-    warped = affine[0] + pts @ affine[1:] + u @ wts
-    if not jacobian:
-        return warped, None
-    gx, gy = grad                        # (N, n_ctl) each
-    jac = np.empty((len(pts), 2, 2))
-    jac[:, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
-    jac[:, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
-    jac[:, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
-    jac[:, 1, 1] = affine[2, 1] + gy @ wts[:, 1]
+    n = len(pts)
+    warped = np.empty((n, 2))
+    jac = np.empty((n, 2, 2)) if jacobian else None
+    step = max(16, BLOCK_BYTES // (8 * len(controls)) // 16 * 16)
+    starts = range(0, max(n - 15, 1), step)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        p = pts[lo:hi]
+        u, grad = _tps_basis(p, controls, jacobian)
+        warped[lo:hi] = affine[0] + p @ affine[1:] + u @ wts
+        if jacobian:
+            gx, gy = grad                # (block, n_ctl) each
+            jac[lo:hi, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
+            jac[lo:hi, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
+            jac[lo:hi, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
+            jac[lo:hi, 1, 1] = affine[2, 1] + gy @ wts[:, 1]
     return warped, jac
 
 
@@ -193,18 +220,20 @@ def _tps_invert(spec: WarpSpec, pts: np.ndarray):
             break
         f, jac = _tps_eval(tps, x[idx], jacobian=True)
         r = f - pts[idx]
-        still = np.abs(r).max(axis=1) > NEWTON_TOL
-        idx, jac, r = idx[still], jac[still], r[still]
+        still = np.maximum(*np.abs(r).T) > NEWTON_TOL
+        if not still.all():
+            idx, jac, r = idx[still], jac[still], r[still]
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         # singular-Jacobian points cannot make progress
         ok = np.abs(det) > 1e-12
-        idx, jac, r, det = idx[ok], jac[ok], r[ok], det[ok]
+        if not ok.all():
+            idx, jac, r, det = idx[ok], jac[ok], r[ok], det[ok]
         dx = (jac[:, 1, 1] * r[:, 0] - jac[:, 0, 1] * r[:, 1]) / det
         dy = (-jac[:, 1, 0] * r[:, 0] + jac[:, 0, 0] * r[:, 1]) / det
         x[idx] -= np.clip(np.stack([dx, dy], axis=1), -32.0, 32.0)
 
     f, _ = _tps_eval(tps, x)
-    resid = np.abs(f - pts).max(axis=1)
+    resid = np.maximum(*np.abs(f - pts).T)
     good = np.isfinite(resid) & (resid <= 10 * NEWTON_TOL)
     x[~good] = 0.0
     return x, good
@@ -368,6 +397,8 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
     source) is stored; the backward one follows from the stored warp spec.
     """
     sources = list(sources)
+    if n_distractors < 0:
+        raise ValueError(f"n_distractors must be >= 0, got {n_distractors}")
     if len(sources) < n_queries + n_distractors:
         raise ValueError(
             f"need {n_queries + n_distractors} source images, got {len(sources)}")

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrverify import synth
+from corrverify import core, synth
 from corrverify.core import Image
 from corrverify.synth import (
     JITTER_BRIGHTNESS,
@@ -26,7 +31,7 @@ from corrverify.synth import (
 )
 from corrverify.verify import DegenerateModelError, cyclic_mask
 
-from helpers import identity_map
+from helpers import identity_map, one_blas_thread
 
 
 def grid_points(h, w, step=7):
@@ -121,8 +126,14 @@ class TestWarpSpecMatrix:
         ("tps", {"controls": CONTROLS, "targets": CONTROLS[:, :1]}, "targets"),
         ("tps", {"controls": CONTROLS[:, 0], "targets": CONTROLS}, "controls"),
         ("tps", {"controls": CONTROLS[:2], "targets": CONTROLS[:2]}, "controls"),
+        # no spline passes through these controls: the TPS system is singular
+        ("tps", {"controls": CONTROLS[[0, 1, 2, 3, 4, 5, 6, 7, 4]], "targets": CONTROLS},
+         "controls"),
+        ("tps", {"controls": np.arange(9.0)[:, None] * [20.0, 10.0] + [5.0, 3.0],
+                 "targets": CONTROLS}, "controls"),
     ], ids=["homography-no-matrix", "affine-no-matrix", "tps-none", "tps-no-targets",
-            "tps-9-8", "tps-targets-9x1", "tps-controls-1d", "tps-2-controls"])
+            "tps-9-8", "tps-targets-9x1", "tps-controls-1d", "tps-2-controls",
+            "tps-repeated-control", "tps-collinear-controls"])
     def test_params_the_kind_reads_checked(self, kind, params, name):
         with pytest.raises(ValueError, match=f"param '{name}'"):
             WarpSpec(kind, params, seed=0, magnitude=0.1)
@@ -251,6 +262,109 @@ class TestTpsBasis:
         for got, want in zip(grad, want_grad):
             assert np.array_equal(got, want)
             assert (got[-len(controls):][on_control] == 0.0).all()
+
+
+def tps_eval_oracle(tps, pts, jacobian=False):
+    """synth._tps_eval as one whole-array evaluation, without blocks."""
+    controls, sol = tps
+    wts = sol[: len(controls)]
+    affine = sol[len(controls):]
+    u, grad = synth._tps_basis(pts, controls, jacobian)
+    warped = affine[0] + pts @ affine[1:] + u @ wts
+    if not jacobian:
+        return warped, None
+    gx, gy = grad
+    jac = np.empty((len(pts), 2, 2))
+    jac[:, 0, 0] = affine[1, 0] + gx @ wts[:, 0]
+    jac[:, 0, 1] = affine[2, 0] + gy @ wts[:, 0]
+    jac[:, 1, 0] = affine[1, 1] + gx @ wts[:, 1]
+    jac[:, 1, 1] = affine[2, 1] + gy @ wts[:, 1]
+    return warped, jac
+
+
+# rows of a _tps_eval block for the 3x3 controls of random_warp
+STEP = core.BLOCK_BYTES // (8 * 9) // 16 * 16
+
+# one OpenBLAS thread count's TPS bits, printed as sha256 per point count;
+# the whole 240^2 grid is 57600 points
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from corrverify import synth
+gx, gy = np.meshgrid(np.arange(240.0), np.arange(240.0))
+grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
+for seed in range(4):
+    tps = synth._tps_solve(synth.random_warp("tps", 0.5, seed))
+    for n in range(56530, 56546):
+        warped, jac = synth._tps_eval(tps, grid[:n], jacobian=True)
+        print(seed, n, hashlib.sha256(warped.tobytes() + jac.tobytes()).hexdigest())
+"""
+
+
+class TestTpsEvalBlocks:
+    """_tps_eval works in blocks of STEP rows, and a remainder shorter than
+    16 rows joins the block before it; its bits equal the whole-array
+    evaluation's on one OpenBLAS thread, where a long product is not split
+    between threads."""
+
+    @pytest.mark.parametrize("n, rows", [
+        (0, [0]), (1, [1]), (STEP, [STEP]), (STEP + 1, [STEP + 1]), (STEP + 15, [STEP + 15]),
+        (STEP + 16, [STEP, 16]), (2 * STEP + 1, [STEP, STEP + 1]),
+        (57600, [STEP] * 10 + [800])])
+    def test_block_rows(self, monkeypatch, n, rows):
+        tps = synth._tps_solve(random_warp("tps", 0.5, seed=1))
+        seen = []
+        basis = synth._tps_basis
+
+        def record(pts, controls, gradient=False):
+            seen.append(len(pts))
+            return basis(pts, controls, gradient)
+
+        monkeypatch.setattr(synth, "_tps_basis", record)
+        synth._tps_eval(tps, grid_points(240, 240, step=1)[:n], jacobian=True)
+        assert STEP == 5680 and seen == rows
+
+    @pytest.mark.parametrize("jacobian", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, STEP - 1, STEP, STEP + 1, STEP + 15,
+                                   STEP + 16, 2 * STEP + 1, 56538, 57600])
+    def test_equals_whole_array_body(self, n, jacobian):
+        tps = synth._tps_solve(random_warp("tps", 0.5, seed=n % 7))
+        pts = np.random.default_rng(n).uniform(-20.0, 260.0, (n, 2))
+        warped, jac = synth._tps_eval(tps, pts, jacobian)
+        with one_blas_thread():
+            want, want_jac = tps_eval_oracle(tps, pts, jacobian)
+        assert warped.shape == (n, 2) and np.array_equal(warped, want)
+        if jacobian:
+            assert jac.shape == (n, 2, 2) and np.array_equal(jac, want_jac)
+        else:
+            assert jac is None
+
+    def test_memory_bounded(self):
+        tps = synth._tps_solve(random_warp("tps", 0.5, seed=2))
+        pts = grid_points(240, 240, step=1)
+        tracemalloc.start()
+        try:
+            synth._tps_eval(tps, pts, jacobian=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = len(pts) * (2 + 4) * 8
+        # 7.0 MiB measured; the whole-array oracle peaks at 32.1 MiB
+        assert peak < outputs + 16 * core.BLOCK_BYTES
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="on one core OpenBLAS runs one thread whatever the setting")
+    def test_bits_independent_of_blas_threads(self):
+        # the whole-array oracle gives other bits on two OpenBLAS threads
+        # than on one at 11 or 12 of these 16 point counts on each warp
+        src = str(Path(synth.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            runs.append(subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(runs[0].splitlines()) == 4 * 16
+        assert runs[0] == runs[1]
 
 
 def folding_tps(size=64, shift=(40.0, 20.0)):
@@ -475,3 +589,9 @@ class TestGenBenchmark:
         sources = [make_texture(240, 240, seed=0)]
         with pytest.raises(ValueError, match="source images"):
             gen_benchmark(sources, tmp_path / "b", 1, 1, 5, seed=0)
+
+    def test_negative_distractors_error(self, tmp_path):
+        sources = [make_texture(240, 240, seed=0)]
+        with pytest.raises(ValueError, match="n_distractors"):
+            gen_benchmark(sources, tmp_path / "b", 1, 1, -1, seed=0)
+        assert not (tmp_path / "b").exists()
