@@ -27,7 +27,7 @@ from .core import (
     write_cmap,
 )
 from .pyramid import WORKING_SIZE
-from .rng import derive_seed, generator
+from .rng import _integer, _real, derive_seed, generator
 from .verify import DegenerateModelError, fit_homography_dlt, project
 
 WARP_KINDS = ("affine", "homography", "tps")
@@ -53,7 +53,9 @@ class WarpSpec:
     as does any param entry that is not finite (a manifest read back from
     JSON can carry NaN), a repeated control or controls all on one line
     (no spline passes through them); a singular matrix is kept, and the
-    invertibility probe rejects it.
+    invertibility probe rejects it.  seed, frame_h and frame_w must be
+    integers (numbers.Integral, not bool), the frame dims >= 1, and
+    magnitude a finite real; else ValueError names the field.
     """
 
     kind: str
@@ -66,6 +68,12 @@ class WarpSpec:
     def __post_init__(self):
         if self.kind not in WARP_KINDS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
+        _integer(self.seed, "seed")
+        for name in ("frame_h", "frame_w"):
+            if _integer(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not np.isfinite(_real(self.magnitude, "magnitude")):
+            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
         for name, value in self.params.items():
             if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
                 raise ValueError(f"warp param {name!r} must be finite")
@@ -92,21 +100,15 @@ class WarpSpec:
             "kind": self.kind,
             "seed": int(self.seed),
             "magnitude": float(self.magnitude),
-            "frame_h": self.frame_h,
-            "frame_w": self.frame_w,
+            "frame_h": int(self.frame_h),
+            "frame_w": int(self.frame_w),
             "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "WarpSpec":
-        return cls(
-            kind=d["kind"],
-            params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
-            seed=int(d["seed"]),
-            magnitude=float(d["magnitude"]),
-            frame_h=int(d["frame_h"]),
-            frame_w=int(d["frame_w"]),
-        )
+        """The spec that ``to_dict`` wrote, its values checked as given."""
+        return cls(d["kind"], d["params"], d["seed"], d["magnitude"], d["frame_h"], d["frame_w"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +200,42 @@ def warp_jacobian(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
     return _tps_eval(_tps_solve(spec), pts, jacobian=True)[1]
 
 
-def inverse_warp_points(spec: WarpSpec, pts: np.ndarray):
-    """Source-frame preimages of warped-frame points; (coords, ok)."""
+def inverse_warp_points(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
+    """Source-frame preimages of (N, 2) warped-frame points, a nan row
+    where a point has none, as in ``project``: for TPS, where Newton does
+    not bring it within 10 NEWTON_TOL of its target."""
     pts = np.asarray(pts, dtype=np.float64)
     if spec.kind != "tps":
-        out = project(np.linalg.inv(spec.params["matrix"]), pts)
-        # only |w| <= 1e-12 gives nan, so not ok; a preimage at w < 0 is ok
-        ok = np.isfinite(out).all(axis=1)
-        out[~ok] = 0.0
-        return out, ok
+        return project(np.linalg.inv(spec.params["matrix"]), pts)
     return _tps_invert(spec, pts)
 
 
-def _tps_invert(spec: WarpSpec, pts: np.ndarray):
-    """Dense Newton inversion of the forward TPS map."""
+def _tps_invert(spec: WarpSpec, pts: np.ndarray) -> np.ndarray:
+    """Dense Newton inversion of the forward TPS map.  A step keeps the
+    residuals it evaluates, so only points still moving after
+    NEWTON_MAX_ITER steps are evaluated once more."""
     tps = _tps_solve(spec)
     x = pts.copy()
-    idx = np.arange(len(pts))  # the points still iterating
+    resid = np.empty(len(pts))
+    idx = np.arange(len(pts))  # the points still moving
     for _ in range(NEWTON_MAX_ITER):
         if not len(idx):
             break
         f, jac = _tps_eval(tps, x[idx], jacobian=True)
         r = f - pts[idx]
-        still = np.maximum(*np.abs(r).T) > NEWTON_TOL
-        if not still.all():
-            idx, jac, r = idx[still], jac[still], r[still]
+        resid[idx] = res = np.maximum(*np.abs(r).T)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         # singular-Jacobian points cannot make progress
-        ok = np.abs(det) > 1e-12
-        if not ok.all():
-            idx, jac, r, det = idx[ok], jac[ok], r[ok], det[ok]
+        go = (res > NEWTON_TOL) & (np.abs(det) > 1e-12)
+        if not go.all():
+            idx, jac, r, det = idx[go], jac[go], r[go], det[go]
         dx = (jac[:, 1, 1] * r[:, 0] - jac[:, 0, 1] * r[:, 1]) / det
         dy = (-jac[:, 1, 0] * r[:, 0] + jac[:, 0, 0] * r[:, 1]) / det
         x[idx] -= np.clip(np.stack([dx, dy], axis=1), -32.0, 32.0)
-
-    f, _ = _tps_eval(tps, x)
-    resid = np.maximum(*np.abs(f - pts).T)
-    good = np.isfinite(resid) & (resid <= 10 * NEWTON_TOL)
-    x[~good] = 0.0
-    return x, good
+    if len(idx):
+        resid[idx] = np.maximum(*np.abs(_tps_eval(tps, x[idx])[0] - pts[idx]).T)
+    x[~(resid <= 10 * NEWTON_TOL)] = np.nan
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +319,7 @@ def apply_warp(image: Image, spec: WarpSpec):
     gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    src, ok = inverse_warp_points(spec, grid)
-    src[~ok] = np.nan
+    src = inverse_warp_points(spec, grid)
     gt_forward = CorrespondenceMap.from_coords(src.reshape(h, w, 2), (h, w))
 
     coords = gt_forward.coords

@@ -460,14 +460,19 @@ class VerificationResult:
 def score_s(num_inliers: int, num_consistent: int, beta: float) -> float:
     """Structural similarity (|C|/|I|) * exp(-beta/|C|); 0 on empty sets.
 
-    C is a subset of I, so num_consistent > num_inliers raises ValueError,
-    as does a beta that is not a finite real >= num_consistent (S <= 1/e).
+    The counts are pixel counts, integers >= 0 (numbers.Integral, not
+    bool).  C is a subset of I, so num_consistent > num_inliers raises
+    ValueError, as do other counts and a beta that is not a finite real
+    >= num_consistent (S <= 1/e).
     """
+    for name, count in (("num_inliers", num_inliers), ("num_consistent", num_consistent)):
+        if _integer(count, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if num_consistent > num_inliers:
         raise ValueError(f"num_consistent {num_consistent} exceeds num_inliers {num_inliers}")
     if not num_consistent <= _real(beta, "beta") < math.inf:
         raise ValueError(f"beta {beta!r} must be finite and >= num_consistent {num_consistent}")
-    if num_inliers <= 0 or num_consistent <= 0:
+    if num_consistent == 0:
         return 0.0
     return (num_consistent / num_inliers) * math.exp(-beta / num_consistent)
 

@@ -32,12 +32,17 @@ def count_threads(monkeypatch):
     return started
 
 
+def bundled_openblas() -> list:
+    """Paths of the OpenBLAS libraries bundled with numpy, none without."""
+    return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block on one thread of numpy's bundled OpenBLAS, then restore
     its thread count; skip the test when numpy bundles no OpenBLAS."""
-    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                      "numpy.libs", "*openblas*")):
+    for lib in bundled_openblas():
         handle = ctypes.CDLL(lib)
         for fmt in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
             get = getattr(handle, fmt.format("get_num_threads"), None)

@@ -159,6 +159,32 @@ class TestWarpSpecMatrix:
         with pytest.raises(ValueError, match=name):
             WarpSpec.from_dict(d)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("frame_h", 0), ("frame_w", -3), ("frame_h", 240.0), ("frame_w", True),
+        ("seed", 1.7), ("seed", "1"), ("seed", None), ("magnitude", np.inf),
+        ("magnitude", np.nan), ("magnitude", "0.4"), ("magnitude", True)])
+    def test_frame_seed_magnitude_checked(self, field, bad):
+        # unchecked, a 0 x -3 frame constructed, and to_dict wrote seed 1.7
+        # as 1 and magnitude inf, which json.dump writes as the non-JSON
+        # token Infinity
+        d = {**random_warp("affine", 0.4, seed=7).to_dict(), field: bad}
+        with pytest.raises(ValueError, match=field):
+            WarpSpec(d["kind"], d["params"], d["seed"], d["magnitude"], d["frame_h"],
+                     d["frame_w"])
+        # a manifest read back from JSON carries each of these as it was
+        with pytest.raises(ValueError, match=field):
+            WarpSpec.from_dict(json.loads(json.dumps(d)))
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = WarpSpec("affine", {"matrix": np.eye(3)}, np.int64(3), np.float64(0.5),
+                        np.int64(64), np.int32(32))
+        d = json.loads(json.dumps(spec.to_dict()))
+        assert (d["seed"], d["magnitude"], d["frame_h"], d["frame_w"]) == (3, 0.5, 64, 32)
+
+    def test_empty_frame_rejected_by_random_warp(self):
+        with pytest.raises(ValueError, match="frame_h"):
+            random_warp("affine", 0.3, 1, (0, 0))
+
     @pytest.mark.parametrize("kind", ["affine", "homography"])
     def test_dict_round_trip_keeps_3x3(self, kind):
         spec = random_warp(kind, 0.4, seed=7)
@@ -378,29 +404,55 @@ def folding_tps(size=64, shift=(40.0, 20.0)):
 
 
 class TestTpsNewtonInverse:
-    """The Newton inverse's coordinates and ok flags equal the oracle's bit
-    for bit, at its converged, empty and non-converged exits."""
+    """The Newton inverse's finite rows equal the oracle's bit for bit, and
+    its nan rows are exactly the oracle's not-ok points, at its converged,
+    empty, non-converged and singular-Jacobian exits."""
 
     @staticmethod
     def assert_matches_oracle(spec, pts):
-        got, ok = inverse_warp_points(spec, pts)
+        """The inverse, its ok rows and the (points, jacobian) of each
+        _tps_eval call it made, after checking it against the oracle."""
+        calls = []
+        evaluate = synth._tps_eval
+
+        def record(tps, pts, jacobian=False):
+            calls.append((len(pts), jacobian))
+            return evaluate(tps, pts, jacobian)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth, "_tps_eval", record)
+            got = inverse_warp_points(spec, pts)
         want, want_ok = tps_invert_oracle(spec, pts)
-        assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
-        return got, ok
+        ok = np.isfinite(got).all(axis=1)
+        assert got.shape == want.shape and np.array_equal(ok, want_ok)
+        assert np.isnan(got[~ok]).all() and np.array_equal(got[ok], want[ok])
+        return got, ok, calls
 
     def test_random_tps_full_grid(self):
-        _, ok = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8),
-                                           grid_points(240, 240, step=1))
+        _, ok, calls = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8),
+                                                  grid_points(240, 240, step=1))
         assert ok.mean() > 0.99
+        # Newton's last step leaves no point moving, so no point is evaluated
+        # again; a whole-grid pass after the loop made this 5 calls, 277,392 points
+        assert [jac for _, jac in calls] == [True] * 4
+        assert calls[0][0] == 57600 and sum(n for n, _ in calls) == 219792
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_tps_magnitude_one(self, seed):
+        self.assert_matches_oracle(random_warp("tps", 1.0, seed=seed),
+                                   grid_points(240, 240, step=1))
 
     def test_empty_input(self):
-        got, ok = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8), np.empty((0, 2)))
-        assert got.shape == (0, 2) and ok.shape == (0,)
+        got, ok, calls = self.assert_matches_oracle(random_warp("tps", 0.5, seed=8),
+                                                    np.empty((0, 2)))
+        assert got.shape == (0, 2) and ok.shape == (0,) and calls == []
 
     def test_folding_tps_leaves_points_not_ok(self):
-        # 654 points still iterate after NEWTON_MAX_ITER steps
-        _, ok = self.assert_matches_oracle(folding_tps(), grid_points(64, 64, step=1))
+        # 654 points still move after NEWTON_MAX_ITER steps, and only they
+        # are evaluated once more (the whole 64^2 grid was, 4,096 points)
+        _, ok, calls = self.assert_matches_oracle(folding_tps(), grid_points(64, 64, step=1))
         assert np.count_nonzero(~ok) == 654
+        assert len(calls) == synth.NEWTON_MAX_ITER + 1 and calls[-1] == (654, False)
 
     def test_collapsing_tps_singular_jacobian(self):
         # every target on y = 0: the Jacobian's second row is 0, so only the
@@ -408,8 +460,10 @@ class TestTpsNewtonInverse:
         controls = folding_tps().params["controls"]
         spec = WarpSpec("tps", {"controls": controls, "targets": controls * [1.0, 0.0]},
                         0, 1.0, 64, 64)
-        _, ok = self.assert_matches_oracle(spec, grid_points(64, 64, step=1))
+        _, ok, calls = self.assert_matches_oracle(spec, grid_points(64, 64, step=1))
         assert np.count_nonzero(ok) == 64
+        # one step stops every point: converged or singular, one compression
+        assert calls == [(4096, True)]
 
 
 class TestApplyWarp:
@@ -465,8 +519,8 @@ class TestApplyWarp:
         a, t = m[:2, :2], m[:2, 2]
         pts = grid_points(240, 240, step=1)
         assert np.allclose(warp_points(spec, pts), pts @ a.T + t, rtol=0, atol=1e-9)
-        back, ok = inverse_warp_points(spec, pts)
-        assert ok.all()
+        back = inverse_warp_points(spec, pts)
+        assert np.isfinite(back).all()
         expect_back = (pts - t) @ np.linalg.inv(a).T
         assert np.allclose(back, expect_back, rtol=0, atol=1e-9)
         assert np.array_equal(warp_jacobian(spec, pts), np.broadcast_to(a, (len(pts), 2, 2)))
@@ -497,7 +551,8 @@ class TestApplyWarp:
         spec = random_warp(kind, 0.5, seed=21)
         pts = grid_points(240, 240, step=11)
         fwd = warp_points(spec, pts)
-        back, ok = inverse_warp_points(spec, fwd)
+        back = inverse_warp_points(spec, fwd)
+        ok = np.isfinite(back).all(axis=1)
         assert ok.mean() > 0.99
         assert np.abs(back[ok] - pts[ok]).max() < 1e-4
 
