@@ -25,6 +25,7 @@ from .core import (
     _resize_rows,
     resize_image,
 )
+from .rng import _integer
 
 WORKING_SIZE = 240
 NUM_LEVELS = 5
@@ -179,14 +180,16 @@ def extract_hypercolumn(pyramid: tuple, target_hw=None) -> FeatureMap:
     top half of the rows on a thread started for the call, the bottom half
     on the caller; either half's exception reaches the caller, and the
     result equals one pass over the whole grid bit for bit.
-    A pyramid with no levels raises ValueError.
+    A pyramid with no levels, or a target that is not two integers
+    (numbers.Integral, not bool) at least the coarsest level's, raises
+    ValueError.
     """
     if not pyramid:
         raise ValueError("empty pyramid")
     total_c = sum(fm.channels for fm in pyramid)
     th, tw = (pyramid[-1].height, pyramid[-1].width) if target_hw is None else target_hw
     ch, cw = pyramid[0].height, pyramid[0].width
-    if th < ch or tw < cw:
+    if _integer(th, "target height") < ch or _integer(tw, "target width") < cw:
         raise ValueError("target resolution must be at least the coarsest level")
     out = np.empty((th, tw, total_c), dtype=np.float32)
     step = max(1, HYPERCOLUMN_BLOCK_BYTES // (tw * total_c * out.itemsize))

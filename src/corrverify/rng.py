@@ -18,7 +18,11 @@ _MASK64 = (1 << 64) - 1
 
 def _integer(value, name: str) -> int:
     """value as an int; ValueError naming it unless it is an integer
-    (numbers.Integral, not bool): int() would truncate 1.7 and True, parse "5"."""
+    (numbers.Integral, not bool): int() would truncate 1.7 and True, parse "5".
+    A plain int skips the slower ABC check: RANSAC's draws check k 1000
+    times per map."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -86,9 +90,12 @@ class Lcg64:
                 return v % n
 
     def sample_distinct(self, n: int, k: int) -> list:
-        """k distinct indices in [0, n), order of first draw."""
-        if k > n:
+        """k distinct indices in [0, n), order of first draw; k must be an
+        integer (numbers.Integral, not bool) in [0, n], else ValueError."""
+        if _integer(k, "k") > n:
             raise ValueError("cannot draw more distinct values than the range")
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         out = []
         while len(out) < k:
             v = self.below(n)

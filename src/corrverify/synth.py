@@ -319,12 +319,10 @@ def apply_warp(image: Image, spec: WarpSpec):
     gx, gy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    src = inverse_warp_points(spec, grid)
-    gt_forward = CorrespondenceMap.from_coords(src.reshape(h, w, 2), (h, w))
-
-    coords = gt_forward.coords
-    sampled, _ = bilinear_sample_grid(image.pixels, coords[..., 0], coords[..., 1])
-    sampled[~gt_forward.valid] = 0.0
+    src = inverse_warp_points(spec, grid).reshape(h, w, 2)
+    gt_forward = CorrespondenceMap.from_coords(src, (h, w))
+    # a nan or out-of-frame preimage samples as 0, where from_coords marks it invalid
+    sampled, _ = bilinear_sample_grid(image.pixels, src[..., 0], src[..., 1])
     warped = Image(np.clip(sampled, 0.0, 1.0))
 
     dst = warp_points(spec, grid).reshape(h, w, 2)

@@ -414,18 +414,18 @@ def ransac_homography(cmap: CorrespondenceMap, config: RansacConfig):
 def cyclic_mask(o_ab: CorrespondenceMap, o_ba: CorrespondenceMap) -> Mask:
     """Pixels of o_ab's grid whose forward-backward composition returns home.
 
-    Pixel p is set iff o_ab[p] is valid, o_ba can be sampled at o_ab[p]
-    (in bounds, all contributing pixels valid), and the composed coordinate
-    lies within CYCLIC_EPSILON pixels of p.  A map with no valid pixel gives
-    the empty mask straight away; otherwise every row is checked in one pass.
+    Pixel p is set iff o_ab[p] is valid and o_ba sampled at o_ab[p] lies
+    within CYCLIC_EPSILON pixels of p (a nan sample, where sample_map has
+    none, never does).  A map with no valid pixel gives the empty mask
+    straight away; otherwise every row is checked in one pass.
     """
     if not o_ab.valid.any():
         return Mask(o_ab.valid)
-    back, ok = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])
+    back = sample_map(o_ba, o_ab.coords[..., 0], o_ab.coords[..., 1])
     gx, gy = np.meshgrid(np.arange(o_ab.width, dtype=np.float64),
                          np.arange(o_ab.height, dtype=np.float64))
     home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= CYCLIC_EPSILON
-    return Mask(o_ab.valid & ok & home)
+    return Mask(o_ab.valid & home)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +515,10 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     for i in range(0, len(pixels), step):
         block = pixels[i:i + step]
         xy = coords[block]
-        sampled, ok = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
-        # np.linalg.norm's own sum of squares, without its copy by conj()
+        sampled, _ = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
+        # np.linalg.norm's sum of squares without its conj() copy; 0 off-frame
         norms = np.sqrt(np.add.reduce(sampled * sampled, axis=1))
-        good = ok & (norms > 1e-12)
+        good = norms > 1e-12
         sampled /= np.where(good, norms, 1.0)[:, None]
         d = np.einsum("nc,nc->n", sampled, target.take(block, axis=0).astype(np.float64))
         k = np.count_nonzero(good)
@@ -533,7 +533,16 @@ def score_s_f(s_l: float, s: float, g: float):
     Returns (value, damped_regime).  A non-positive S_L*S product yields
     -inf, ranking the pair last; products in (0, 1) give negative scores
     that large G damps instead of amplifying, flagged via damped_regime.
+    S_L, S and G must be finite real numbers (numbers.Real, not bool), S
+    and G >= 0; S_L may be negative (a cosine sum).  Other inputs raise
+    ValueError naming the input: a nan S_F would rank first or last under
+    the (-S_F, G) sort depending on the candidates' order.
     """
+    if not -math.inf < _real(s_l, "s_l") < math.inf:
+        raise ValueError(f"s_l must be finite, got {s_l!r}")
+    for name, value in (("s", s), ("g", g)):
+        if not 0.0 <= _real(value, name) < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     prod = s_l * s
     if prod <= 0.0:
         return float("-inf"), False
@@ -541,7 +550,11 @@ def score_s_f(s_l: float, s: float, g: float):
 
 
 def beta_for_working_size(height: int, width: int) -> float:
-    """Eq-1 constant: the maximum possible |C| at the working resolution."""
+    """Eq-1 constant: the maximum possible |C| at the working resolution.
+    Dims that are not integers >= 1 (numbers.Integral, not bool) raise
+    ValueError."""
+    if _integer(height, "height") < 1 or _integer(width, "width") < 1:
+        raise ValueError(f"working size must be >= 1, got {height}x{width}")
     return float(height * width)
 
 

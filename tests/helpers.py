@@ -32,10 +32,27 @@ def count_threads(monkeypatch):
     return started
 
 
+# the spellings of an OpenBLAS function's symbol across numpy's builds
+OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
+
+
 def bundled_openblas() -> list:
     """Paths of the OpenBLAS libraries bundled with numpy, none without."""
     return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                   "numpy.libs", "*openblas*"))
+
+
+def openblas_config() -> str:
+    """Configuration string (core and kernel) of numpy's bundled OpenBLAS,
+    "unknown" when numpy bundles none."""
+    for lib in bundled_openblas():
+        handle = ctypes.CDLL(lib)
+        for fmt in OPENBLAS_SYMBOLS:
+            get = getattr(handle, fmt.format("get_config"), None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return "unknown"
 
 
 @contextlib.contextmanager
@@ -44,7 +61,7 @@ def one_blas_thread():
     its thread count; skip the test when numpy bundles no OpenBLAS."""
     for lib in bundled_openblas():
         handle = ctypes.CDLL(lib)
-        for fmt in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        for fmt in OPENBLAS_SYMBOLS:
             get = getattr(handle, fmt.format("get_num_threads"), None)
             set_ = getattr(handle, fmt.format("set_num_threads"), None)
             if get is not None and set_ is not None:

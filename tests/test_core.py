@@ -597,6 +597,28 @@ class TestResize:
         with pytest.raises(ValueError, match=">= 1, got 0x3"):
             resize_grid(np.zeros((4, 5)), 0, 3)
 
+    @pytest.mark.parametrize("new_h, new_w, match", [
+        (2.5, 3, "new_h must be an integer"), (3, True, "new_w must be an integer"),
+        (3, "3", "new_w must be an integer"), (-1, 3, ">= 1, got -1x3")])
+    def test_grid_target_not_integer_rejected(self, new_h, new_w, match):
+        with pytest.raises(ValueError, match=match):
+            resize_grid(np.zeros((4, 5)), new_h, new_w)
+
+    @pytest.mark.parametrize("new_h, new_w, match", [
+        (8.0, 16, "new_h must be an integer"), (16, True, "new_w must be an integer"),
+        (7, 16, ">= 8, got 7x16")])
+    def test_image_target_not_integer_rejected(self, new_h, new_w, match):
+        with pytest.raises(ValueError, match=match):
+            resize_image(Image(np.zeros((16, 16))), new_h, new_w)
+
+    def test_numpy_integer_targets_accepted(self):
+        values = np.random.default_rng(16).random((9, 7))
+        got = resize_grid(values, np.int64(5), np.int32(4))
+        assert got.tobytes() == resize_grid(values, 5, 4).tobytes()
+        img = Image(values)
+        assert np.array_equal(resize_image(img, np.int64(12), 8).pixels,
+                              resize_image(img, 12, 8).pixels)
+
 
 class TestSharedSamplingKernels:
     @pytest.mark.parametrize("seed", range(6))
@@ -687,12 +709,13 @@ class TestFlatGather:
 
 
 def sample_map_oracle(cmap, xs, ys):
-    """sample_map with coordinates and validity gathered one at a time."""
+    """sample_map with coordinates and validity gathered one at a time: the
+    coordinates, a nan row where the sample is not ok."""
     coords, ok = bilinear_sample_grid(cmap.coords, xs, ys)
     vfrac, _ = bilinear_sample_grid(cmap.valid, xs, ys)
     ok &= vfrac >= 1.0 - 1e-9
-    coords[~ok] = 0.0
-    return coords, ok
+    coords[~ok] = np.nan
+    return coords
 
 
 def resample_oracle(cmap, new_h, new_w):
@@ -700,7 +723,8 @@ def resample_oracle(cmap, new_h, new_w):
     then the half-pixel rescale of the stored coordinates."""
     h, w = cmap.height, cmap.width
     gx, gy = np.meshgrid(half_pixel_axis(w, new_w), half_pixel_axis(h, new_h))
-    coords, ok = sample_map_oracle(cmap, gx, gy)
+    coords = sample_map_oracle(cmap, gx, gy)
+    ok = np.isfinite(coords).all(axis=-1)
     coords = half_pixel(coords, np.array([w, h]), np.array([new_w, new_h]))
     coords[~ok] = 0.0
     return coords, ok
@@ -715,10 +739,29 @@ class TestSampleMap:
         valid = rng.random((h, w)) > 0.2
         cmap = CorrespondenceMap(np.where(valid[..., None], coords, 0.0), valid)
         xs, ys = rng.uniform(-2, w + 1, (40, 50)), rng.uniform(-2, h + 1, (40, 50))
-        want, want_ok = sample_map_oracle(cmap, xs, ys)
-        got, ok = sample_map(cmap, xs, ys)
-        assert np.array_equal(ok, want_ok) and 0 < ok.sum() < ok.size
-        assert got.tobytes() == want.tobytes()
+        want = sample_map_oracle(cmap, xs, ys)
+        got = sample_map(cmap, xs, ys)
+        ok = np.isfinite(got).all(axis=-1)
+        assert np.array_equal(ok, np.isfinite(want).all(axis=-1)) and 0 < ok.sum() < ok.size
+        # finite rows bitwise equal, whole nan rows exactly where not ok
+        assert got[ok].tobytes() == want[ok].tobytes() and np.isnan(got[~ok]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_invalid_pixel_weight_tolerance(self):
+        # an invalid pixel may carry a weight of up to ~1e-9: 1e-12 keeps the
+        # sample, 1e-6 does not
+        valid = np.ones((3, 4), dtype=bool)
+        valid[1, 2] = False
+        cmap = CorrespondenceMap(identity_map(3, 4).coords, valid)
+        got = sample_map(cmap, np.array([1.0 + 1e-12, 1.0 + 1e-6]), np.array([1.0, 1.0]))
+        assert np.isfinite(got[0]).all() and np.isnan(got[1]).all()
+        # the reason: half_pixel_axis(7, 25) puts output pixel 12 just past
+        # source pixel 3, so resample_map keeps it beside an invalid pixel 4
+        assert half_pixel_axis(7, 25)[12] - 3.0 == 2.0 ** -51
+        valid = np.ones((1, 7), dtype=bool)
+        valid[0, 4] = False
+        out = resample_map(CorrespondenceMap(identity_map(1, 7).coords, valid), 1, 25)
+        assert out.valid[0, 12] and not out.valid[0, 13]
 
 
 class TestResampleMap:
@@ -763,6 +806,14 @@ class TestResampleMap:
         with pytest.raises(ValueError, match=f">= 1, got {new_h}x{new_w}"):
             resample_map(identity_map(7, 9), new_h, new_w)
 
+    @pytest.mark.parametrize("new_h, new_w, name", [
+        (True, 3, "new_h"), (2.5, 3, "new_h"), (3, 4.0, "new_w")])
+    def test_target_not_integer_rejected(self, new_h, new_w, name):
+        # unchecked, (True, 3) returned a 1x3 map and (2.5, 3) raised a
+        # TypeError on a slice index
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            resample_map(identity_map(7, 9), new_h, new_w)
+
     @pytest.mark.parametrize("new_h, new_w", [(1, 5), (13, 7), (480, 480)])
     def test_all_invalid_map_skips_resampling(self, monkeypatch, new_h, new_w):
         cmap = CorrespondenceMap(np.ones((11, 9, 2)), np.zeros((11, 9), dtype=bool))
@@ -801,9 +852,27 @@ class TestMapComposition:
         )
         m = CorrespondenceMap.from_coords(coords, (h, w))
         ident = identity_map(h, w)
-        got, ok = sample_map(ident, m.coords[..., 0], m.coords[..., 1])
-        assert ok.all()
+        got = sample_map(ident, m.coords[..., 0], m.coords[..., 1])
+        assert np.isfinite(got).all()
         assert np.abs(got - m.coords).max() < 1e-6
+
+    def test_from_coords_composes_nan_encoded_samples(self):
+        # m1 then m2: the nan rows of sample_map and m1's invalid pixels
+        # both become invalid pixels of the composed map
+        rng = np.random.default_rng(15)
+        h, w = 12, 10
+        frame = (7, 9)
+        m1 = CorrespondenceMap.from_coords(
+            np.stack([rng.uniform(-1, w, (h, w)), rng.uniform(-1, h, (h, w))], axis=2), (h, w))
+        m2 = CorrespondenceMap.from_coords(
+            np.stack([rng.uniform(-1, 9, (h, w)), rng.uniform(-1, 7, (h, w))], axis=2), frame)
+        back = sample_map(m2, *m1.coords.transpose(2, 0, 1))
+        ok = np.isfinite(back).all(axis=-1)
+        composed = CorrespondenceMap.from_coords(
+            np.where(m1.valid[..., None], back, np.nan), frame)
+        assert np.array_equal(composed.valid, m1.valid & ok)
+        assert 0 < composed.valid.sum() < composed.valid.size and (m1.valid & ~ok).any()
+        assert composed.coords[composed.valid].tobytes() == back[composed.valid].tobytes()
 
     def test_from_coords_marks_out_of_bounds_invalid(self):
         coords = np.zeros((4, 4, 2))

@@ -269,6 +269,14 @@ class TestHypercolumn:
         with pytest.raises(ValueError):
             extract_hypercolumn((fm,), (8, 8))
 
+    @pytest.mark.parametrize("target_hw, name", [
+        ((32.0, 32), "target height"), ((32, True), "target width"), ((32, "32"), "target width")])
+    def test_target_not_integer_rejected(self, target_hw, name):
+        # unchecked, (128.0, 128) raised a TypeError from np.empty
+        fm = self._unit_field(33, 15, 15, 4)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            extract_hypercolumn((fm,), target_hw)
+
     def test_empty_pyramid_rejected(self):
         with pytest.raises(ValueError, match="empty pyramid"):
             extract_hypercolumn(())

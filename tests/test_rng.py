@@ -36,6 +36,18 @@ class TestLcg64:
         with pytest.raises(ValueError):
             rng.sample_distinct(3, 4)
 
+    @pytest.mark.parametrize("k, match", [
+        (-1, "k must be >= 0, got -1"), (2.5, "k must be an integer"),
+        (True, "k must be an integer"), (4, "more distinct values than the range")])
+    def test_draw_count_outside_range_rejected(self, k, match):
+        # unchecked, k = -1 returned [], 2.5 three indices and True one
+        with pytest.raises(ValueError, match=match):
+            Lcg64(0).sample_distinct(3, k)
+
+    def test_draw_count_bounds_accepted(self):
+        assert Lcg64(0).sample_distinct(3, 0) == []
+        assert sorted(Lcg64(0).sample_distinct(3, np.int64(3))) == [0, 1, 2]
+
     def test_bound_above_draw_range_rejected(self):
         # lim = 2**32 - 2**32 % n is 0 for n > 2**32, so a rejection loop
         # without the check would never return; run it where a hang shows

@@ -313,6 +313,17 @@ class TestScoreS:
         if score_s(k, k, beta) == 0.0:
             assert score_s(i, c, beta) == 0.0
 
+    @pytest.mark.parametrize("h, w, match", [
+        (-1, 5, ">= 1, got -1x5"), (5, 0, ">= 1, got 5x0"), (2.5, 2, "height must be an integer"),
+        (True, 5, "height must be an integer"), (5, "5", "width must be an integer")])
+    def test_working_size_not_integer_rejected(self, h, w, match):
+        # unchecked, (-1, 5) read -5.0, (2.5, 2) 5.0 and (True, 5) 5.0
+        with pytest.raises(ValueError, match=match):
+            verify.beta_for_working_size(h, w)
+
+    def test_numpy_working_size_accepted(self):
+        assert verify.beta_for_working_size(np.int64(240), np.int32(240)) == 57600.0
+
     def test_skip_boundary_at_240(self):
         beta = verify.beta_for_working_size(240, 240)
         assert score_s(77, 77, beta) == 0.0
@@ -344,6 +355,24 @@ class TestScoreSF:
     def test_damped_regime_flagged(self):
         v, flag = score_s_f(0.5, 0.5, 2.0)
         assert flag and v < 0
+
+    @pytest.mark.parametrize("s_l, s, g, name", [
+        (math.nan, 0.1, 0.5, "s_l"), (1.0, 0.1, math.nan, "g"), (math.inf, 0.1, 0.5, "s_l"),
+        (10.0, 0.1, -1.0, "g"), (-math.inf, 0.1, 0.5, "s_l"), (1.0, math.nan, 0.5, "s"),
+        (1.0, -0.1, 0.5, "s"), (1.0, 0.1, math.inf, "g"), (True, 0.1, 0.5, "s_l"),
+        (1.0, "0.1", 0.5, "s")])
+    def test_nan_or_misranking_inputs_rejected(self, s_l, s, g, name):
+        # unchecked, (nan, 0.1, 0.5) read (nan, False), (1.0, 0.1, nan)
+        # (nan, True), (inf, 0.1, 0.5) inf and (10.0, 0.1, -1.0) 0.0; a nan
+        # S_F ranks first or last under the (-S_F, G) sort by input order
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            score_s_f(s_l, s, g)
+
+    def test_negative_s_l_and_numpy_reals_accepted(self):
+        # S_L is a cosine sum and may be negative; S = 0 with it still ranks last
+        assert score_s_f(-2.0, 0.0, 0.0) == (float("-inf"), False)
+        v, flag = score_s_f(np.float64(5000.0), np.float32(0.25), np.float64(1.2))
+        assert v == pytest.approx(math.log10(1250.0) * 10 ** (-1.2), rel=1e-7) and not flag
 
 
 class TestScoreG:
@@ -602,9 +631,10 @@ class TestCyclicMask:
         coords[2, 3] = 0.0
         ref = CorrespondenceMap(coords, valid)
         xs, ys = np.meshgrid(np.arange(0, 5.01, 0.5), np.arange(0, 5.01, 0.5))
-        got, ok = sample_map(m, xs, ys)
-        want, want_ok = sample_map(ref, xs, ys)
-        assert np.array_equal(ok, want_ok) and np.array_equal(got, want)
+        got = sample_map(m, xs, ys)
+        want = sample_map(ref, xs, ys)
+        ok = np.isfinite(got).all(axis=-1)
+        assert np.array_equal(got, want, equal_nan=True) and not ok.all()
         assert ok[4, 4] and np.array_equal(got[4, 4], [2.0, 2.0])
         assert np.array_equal(cyclic_mask(m, m).bits, cyclic_mask(ref, ref).bits)
         assert cyclic_mask(m, m).count() == 35
@@ -1278,7 +1308,8 @@ class TestSplitKernels:
     def test_cyclic_matches_oracle(self, h):
         fwd, bwd = noisy_pair("tps", 67, 0.4, size=48)
         fwd = CorrespondenceMap(fwd.coords[:h], fwd.valid[:h])
-        back, ok = sample_map(bwd, fwd.coords[..., 0], fwd.coords[..., 1])
+        back = sample_map(bwd, fwd.coords[..., 0], fwd.coords[..., 1])
+        ok = np.isfinite(back).all(axis=-1)
         gx, gy = np.meshgrid(np.arange(48.0), np.arange(float(h)))
         want = fwd.valid & ok & (np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= 2.0)
         assert np.array_equal(cyclic_mask(fwd, bwd).bits, want)
