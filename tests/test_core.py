@@ -589,7 +589,7 @@ class TestResize:
 
     def test_small_target_rejected(self):
         img = Image(np.zeros((16, 16)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 8, got 7x16"):
             resize_image(img, 7, 16)
 
     def test_zero_grid_target_rejected(self):
@@ -599,14 +599,13 @@ class TestResize:
 
     @pytest.mark.parametrize("new_h, new_w, match", [
         (2.5, 3, "new_h must be an integer"), (3, True, "new_w must be an integer"),
-        (3, "3", "new_w must be an integer"), (-1, 3, ">= 1, got -1x3")])
+        (3, "3", "new_w must be an integer")])
     def test_grid_target_not_integer_rejected(self, new_h, new_w, match):
         with pytest.raises(ValueError, match=match):
             resize_grid(np.zeros((4, 5)), new_h, new_w)
 
     @pytest.mark.parametrize("new_h, new_w, match", [
-        (8.0, 16, "new_h must be an integer"), (16, True, "new_w must be an integer"),
-        (7, 16, ">= 8, got 7x16")])
+        (8.0, 16, "new_h must be an integer"), (16, True, "new_w must be an integer")])
     def test_image_target_not_integer_rejected(self, new_h, new_w, match):
         with pytest.raises(ValueError, match=match):
             resize_image(Image(np.zeros((16, 16))), new_h, new_w)
@@ -742,10 +741,9 @@ class TestSampleMap:
         want = sample_map_oracle(cmap, xs, ys)
         got = sample_map(cmap, xs, ys)
         ok = np.isfinite(got).all(axis=-1)
-        assert np.array_equal(ok, np.isfinite(want).all(axis=-1)) and 0 < ok.sum() < ok.size
-        # finite rows bitwise equal, whole nan rows exactly where not ok
-        assert got[ok].tobytes() == want[ok].tobytes() and np.isnan(got[~ok]).all()
-        assert np.array_equal(got, want, equal_nan=True)
+        # nan rows exactly where the oracle's are, finite rows bitwise equal
+        assert np.array_equal(got, want, equal_nan=True) and 0 < ok.sum() < ok.size
+        assert got[ok].tobytes() == want[ok].tobytes()
 
     def test_invalid_pixel_weight_tolerance(self):
         # an invalid pixel may carry a weight of up to ~1e-9: 1e-12 keeps the

@@ -38,7 +38,7 @@ class TestLcg64:
 
     @pytest.mark.parametrize("k, match", [
         (-1, "k must be >= 0, got -1"), (2.5, "k must be an integer"),
-        (True, "k must be an integer"), (4, "more distinct values than the range")])
+        (True, "k must be an integer")])
     def test_draw_count_outside_range_rejected(self, k, match):
         # unchecked, k = -1 returned [], 2.5 three indices and True one
         with pytest.raises(ValueError, match=match):
