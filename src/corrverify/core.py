@@ -10,7 +10,7 @@ Conventions used throughout the package:
 * out-of-bounds samples are treated as invalid rather than clamped;
 * a point with no image (``sample_map``, ``verify.project``,
   ``synth.warp_points``) is a nan row; a sampled value with no sample
-  (``bilinear_sample_grid``) is 0, with an ``ok`` mask.
+  (``bilinear_sample_grid``) is 0.
 
 CMAP, FMAP and GDSC files share one container: a 4-byte magic, a u32
 version (1), u32 dimensions, then a little-endian payload.  CMAP (H, W):
@@ -271,14 +271,10 @@ def _interpolate(values, stencil) -> np.ndarray:
 
 
 def bilinear_sample_grid(values, xs, ys):
-    """Vectorized bilinear sampling with an out-of-bounds validity mask.
-
-    Returns (samples, ok) in float64; samples are 0 where ok is False.  An
-    empty grid raises ValueError.
-    """
+    """Vectorized bilinear sampling, in float64, 0 where a position is out
+    of bounds or not finite.  An empty grid raises ValueError."""
     values = np.asarray(values)
-    stencil = _stencil(xs, ys, *values.shape[:2])
-    return _interpolate(values, stencil), stencil[0]
+    return _interpolate(values, _stencil(xs, ys, *values.shape[:2]))
 
 
 def half_pixel(x, n, new_n):
@@ -337,8 +333,7 @@ def sample_map(cmap: CorrespondenceMap, xs, ys):
     validity is below 1 - 1e-9.  So an invalid grid pixel may contribute a
     weight of up to ~1e-9, on purpose: rounding moves positions just off a
     pixel centre (``half_pixel_axis(7, 25)`` puts one 4.4e-16 past a
-    centre, as do 1,496 of the 39,402 size pairs with n in 2-199 and new_n
-    in 1-199), and such a position must not lose its sample to an invalid
+    centre), and such a position must not lose its sample to an invalid
     neighbour it barely draws on.
     """
     stencil = _stencil(xs, ys, cmap.height, cmap.width)
@@ -368,12 +363,10 @@ def resample_map(cmap: CorrespondenceMap, new_h: int, new_w: int) -> Corresponde
     tensor-grid resizer (`resize_grid`), rescaling both the grid positions
     and the stored source coordinates by the half-pixel mapping.
 
-    Pixels whose interpolation gives an invalid prior pixel a weight above
-    ~1e-9 are invalid (the interpolated validity must be at least 1 - 1e-9,
-    with sample_map's tolerance and reason: positions the half-pixel
-    mapping rounds just off a pixel centre keep their value), so a map with
-    no valid pixel gives all-invalid, zero coordinates, which are returned
-    without resampling.  It works plane by plane, on the calling
+    Pixels whose interpolation touches an invalid prior pixel are invalid,
+    with sample_map's validity tolerance, so a map with no valid pixel
+    gives all-invalid, zero coordinates, which are returned without
+    resampling.  It works plane by plane, on the calling
     thread: one resize_grid pass of the validity plane (as float64) and of
     each coordinate plane.  Target dimensions that are not integers >= 1
     (numbers.Integral, not bool) raise ValueError.

@@ -18,11 +18,7 @@ _MASK64 = (1 << 64) - 1
 
 def _integer(value, name: str) -> int:
     """value as an int; ValueError naming it unless it is an integer
-    (numbers.Integral, not bool): int() would truncate 1.7 and True, parse "5".
-    A plain int skips the slower ABC check: RANSAC's draws check k 1000
-    times per map."""
-    if type(value) is int:
-        return value
+    (numbers.Integral, not bool): int() would truncate 1.7 and True, parse "5"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -322,7 +322,7 @@ def apply_warp(image: Image, spec: WarpSpec):
     src = inverse_warp_points(spec, grid).reshape(h, w, 2)
     gt_forward = CorrespondenceMap.from_coords(src, (h, w))
     # a nan or out-of-frame preimage samples as 0, where from_coords marks it invalid
-    sampled, _ = bilinear_sample_grid(image.pixels, src[..., 0], src[..., 1])
+    sampled = bilinear_sample_grid(image.pixels, src[..., 0], src[..., 1])
     warped = Image(np.clip(sampled, 0.0, 1.0))
 
     dst = warp_points(spec, grid).reshape(h, w, 2)

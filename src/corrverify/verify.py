@@ -515,7 +515,7 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     for i in range(0, len(pixels), step):
         block = pixels[i:i + step]
         xy = coords[block]
-        sampled, _ = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
+        sampled = bilinear_sample_grid(hyper_a.values, xy[:, 0], xy[:, 1])
         # np.linalg.norm's sum of squares without its conj() copy; 0 off-frame
         norms = np.sqrt(np.add.reduce(sampled * sampled, axis=1))
         good = norms > 1e-12

@@ -257,7 +257,7 @@ class TestHypercolumn:
             h, w = fm.height, fm.width
             sy = np.clip((ty + 0.5) * h / 480 - 0.5, 0, h - 1)
             sx = np.clip((tx + 0.5) * w / 480 - 0.5, 0, w - 1)
-            (v,), _ = bilinear_sample_grid(fm.values, [sx], [sy])
+            (v,) = bilinear_sample_grid(fm.values, [sx], [sy])
             n = np.linalg.norm(v)
             parts.append(v / n if n > 1e-12 else v)
         expect = np.concatenate(parts)

@@ -436,7 +436,7 @@ class TestScoreSL:
                 if not (mask[y, x] and cmap.valid[y, x]):
                     continue
                 cx, cy = cmap.coords[y, x]
-                (v,), _ = bilinear_sample_grid(fa.values, [cx], [cy])
+                (v,) = bilinear_sample_grid(fa.values, [cx], [cy])
                 n = np.linalg.norm(v)
                 if n > 1e-12:
                     expect += float(np.dot(v / n, fb.values[y, x].astype(np.float64)))
@@ -478,8 +478,8 @@ class TestScoreSL:
         flat[5] = [w + 2.5, 1.0]
         flat[2 * self.B + 3] = [0.5, 1.25]
         cmap = CorrespondenceMap(coords, np.ones((h, w), bool))
-        sampled, ok = verify.bilinear_sample_grid(fa, flat[:, 0], flat[:, 1])
-        assert not ok[5] and ok[2 * self.B + 3] and not sampled[2 * self.B + 3].any()
+        sampled = verify.bilinear_sample_grid(fa, flat[:, 0], flat[:, 1])
+        assert not sampled[5].any() and not sampled[2 * self.B + 3].any()
         return FeatureMap(fa), fb, cmap
 
     @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
@@ -568,11 +568,9 @@ def unchunked_s_l(hyper_a, hyper_b, o_ab, mask):
         return 0.0
     ys, xs = np.nonzero(sel)
     coords = o_ab.coords[ys, xs]
-    sampled, ok = verify.bilinear_sample_grid(hyper_a.values, coords[:, 0], coords[:, 1])
-    if not ok.any():
-        return 0.0
+    sampled = verify.bilinear_sample_grid(hyper_a.values, coords[:, 0], coords[:, 1])
     norms = np.linalg.norm(sampled, axis=1)
-    good = ok & (norms > 1e-12)
+    good = norms > 1e-12
     target = hyper_b.values[ys[good], xs[good]].astype(np.float64)
     dots = np.einsum("nc,nc->n", sampled[good] / norms[good, None], target)
     return float(dots.sum())
@@ -581,11 +579,12 @@ def unchunked_s_l(hyper_a, hyper_b, o_ab, mask):
 def bruteforce_s_l(hyper_a, hyper_b, o_ab, mask):
     """S_L with one pixel at a time, skipping out-of-bounds and zero samples."""
     total = 0.0
+    h, w = hyper_a.values.shape[:2]
     for y, x in zip(*np.nonzero(mask.bits & o_ab.valid)):
-        v, ok = verify.bilinear_sample_grid(hyper_a.values, o_ab.coords[y, x, :1],
-                                            o_ab.coords[y, x, 1:])
+        cx, cy = o_ab.coords[y, x]
+        v = verify.bilinear_sample_grid(hyper_a.values, [cx], [cy])
         n = np.linalg.norm(v[0])
-        if ok[0] and n > 1e-12:
+        if 0 <= cx <= w - 1 and 0 <= cy <= h - 1 and n > 1e-12:
             total += float(np.dot(v[0] / n, hyper_b.values[y, x].astype(np.float64)))
     return total
 
