@@ -145,9 +145,14 @@ class CorrespondenceMap:
 
     @classmethod
     def from_coords(cls, coords, source_hw) -> "CorrespondenceMap":
-        """Build a map marking valid exactly the in-bounds coordinates."""
+        """Build a map marking valid exactly the coordinates in bounds of a
+        source frame source_hw = (h, w).  Dims that are not integers >= 1
+        (numbers.Integral, not bool) raise ValueError naming source_hw."""
+        h, w = source_hw
+        if _integer(h, "source_hw") < 1 or _integer(w, "source_hw") < 1:
+            raise ValueError(f"source_hw must be >= 1, got {source_hw}")
         coords = np.asarray(coords, dtype=np.float64)
-        return cls(coords, _in_bounds(coords[..., 0], coords[..., 1], *source_hw))
+        return cls(coords, _in_bounds(coords[..., 0], coords[..., 1], h, w))
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,8 @@ class Lcg64:
         return self.state
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection of the biased tail; n is at
-        most 2**32, the range of one draw."""
+        """Uniform integer in [0, n) by rejection of the biased tail; n is an
+        integer in [1, 2**32], 2**32 being the range of one draw."""
         if not 0 < n <= 1 << 32:
             raise ValueError("bound must lie in [1, 2**32]")
         lim = (1 << 32) - ((1 << 32) % n)
@@ -86,8 +86,9 @@ class Lcg64:
                 return v % n
 
     def sample_distinct(self, n: int, k: int) -> list:
-        """k distinct indices in [0, n), order of first draw; k must be an
-        integer (numbers.Integral, not bool) in [0, n], else ValueError."""
+        """k distinct indices in [0, n), order of first draw; n and k must be
+        integers (numbers.Integral, not bool), k in [0, n], else ValueError."""
+        n = _integer(n, "n")
         if _integer(k, "k") > n:
             raise ValueError("cannot draw more distinct values than the range")
         if k < 0:

@@ -305,12 +305,11 @@ def random_warp(kind: str, magnitude: float, seed: int,
 # ---------------------------------------------------------------------------
 
 def apply_warp(image: Image, spec: WarpSpec):
-    """Warp an image, returning (warped, gt_forward, gt_backward).
+    """Warp an image, returning (warped, gt_forward).
 
     gt_forward lives on the warped image's grid and points into the source
-    (the matcher's O_AB for the pair (source, warped)); gt_backward lives on
-    the source grid and points into the warped frame.  Out-of-frame pixels
-    are invalid; the warped image is zero-filled there.
+    (the matcher's O_AB for the pair (source, warped)).  Out-of-frame
+    pixels are invalid; the warped image is zero-filled there.
     """
     h, w = image.height, image.width
     if (h, w) != (spec.frame_h, spec.frame_w):
@@ -323,11 +322,7 @@ def apply_warp(image: Image, spec: WarpSpec):
     gt_forward = CorrespondenceMap.from_coords(src, (h, w))
     # a nan or out-of-frame preimage samples as 0, where from_coords marks it invalid
     sampled = bilinear_sample_grid(image.pixels, src[..., 0], src[..., 1])
-    warped = Image(np.clip(sampled, 0.0, 1.0))
-
-    dst = warp_points(spec, grid).reshape(h, w, 2)
-    gt_backward = CorrespondenceMap.from_coords(dst, (h, w))
-    return warped, gt_forward, gt_backward
+    return Image(np.clip(sampled, 0.0, 1.0)), gt_forward
 
 
 def photometric_jitter(image: Image, seed: int) -> Image:
@@ -391,7 +386,12 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
     differently warped view of its source.  Relevance is exact by
     construction.  Each warped image's forward ground-truth map (onto its
     source) is stored; the backward one follows from the stored warp spec.
+    The counts must be integers (numbers.Integral, not bool), n_queries and
+    positives_per_query >= 1 and n_distractors >= 0; else ValueError.
     """
+    for name, count in (("n_queries", n_queries), ("positives_per_query", positives_per_query),
+                        ("n_distractors", n_distractors)):
+        _integer(count, name)
     sources = list(sources)
     if n_distractors < 0:
         raise ValueError(f"n_distractors must be >= 0, got {n_distractors}")
@@ -413,7 +413,7 @@ def gen_benchmark(sources, out_dir, n_queries: int, positives_per_query: int,
 
     def emit_warped(image_id: str, source_img: Image, source_id: str, warp_seed: int):
         spec = random_warp(kind, magnitude, warp_seed, (working_size, working_size))
-        warped, gt_fwd, _ = apply_warp(source_img, spec)
+        warped, gt_fwd = apply_warp(source_img, spec)
         if jitter:
             warped = photometric_jitter(warped, derive_seed(warp_seed, "jitter", image_id))
         img_path = f"images/{image_id}.pgm"

@@ -527,23 +527,38 @@ def score_s_l(hyper_a: FeatureMap, hyper_b: FeatureMap, o_ab: CorrespondenceMap,
     return float(dots[:n].sum())
 
 
+def _finite(value, name: str) -> bool:
+    """Whether a real number (numbers.Real, not bool, else ValueError naming
+    it) is finite as a float; an int past the float range is not, where
+    math.isfinite raises OverflowError."""
+    try:
+        return math.isfinite(_real(value, name))
+    except OverflowError:
+        return False
+
+
 def score_s_f(s_l: float, s: float, g: float):
     """Fused similarity log10(S_L*S) * 10**(-G).
 
     Returns (value, damped_regime).  A non-positive S_L*S product yields
     -inf, ranking the pair last; products in (0, 1) give negative scores
     that large G damps instead of amplifying, flagged via damped_regime.
-    S_L, S and G must be finite real numbers (numbers.Real, not bool), S
-    and G >= 0; S_L may be negative (a cosine sum).  Other inputs raise
-    ValueError naming the input: a nan S_F would rank first or last under
-    the (-S_F, G) sort depending on the candidates' order.
+    S_L, S and G must be real numbers (numbers.Real, not bool), finite as
+    floats, S and G >= 0; S_L may be negative (a cosine sum).  Other inputs,
+    and a float product S_L*S that overflows, raise ValueError naming them:
+    a nan S_F would rank first or last under the (-S_F, G) sort depending
+    on the candidates' order, and an S_F of +inf first.
     """
-    if not -math.inf < _real(s_l, "s_l") < math.inf:
+    if not _finite(s_l, "s_l"):
         raise ValueError(f"s_l must be finite, got {s_l!r}")
     for name, value in (("s", s), ("g", g)):
-        if not 0.0 <= _real(value, name) < math.inf:
+        if not (_finite(value, name) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    prod = s_l * s
+    with np.errstate(over="ignore"):  # a numpy scalar product warns where it overflows
+        prod = s_l * s
+    # a float product may overflow; an int one is exact, and log10 takes it
+    if abs(prod) == math.inf:
+        raise ValueError(f"s_l * s must be finite, got {s_l!r} * {s!r}")
     if prod <= 0.0:
         return float("-inf"), False
     return math.log10(prod) * 10.0 ** (-g), prod < 1.0

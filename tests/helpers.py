@@ -9,6 +9,7 @@ import pytest
 
 from blas_probe import OPENBLAS_SYMBOLS, bundled_openblas
 from corrverify.core import CorrespondenceMap
+from corrverify.synth import warp_points
 
 
 def identity_map(h: int, w: int) -> CorrespondenceMap:
@@ -16,6 +17,15 @@ def identity_map(h: int, w: int) -> CorrespondenceMap:
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
     return CorrespondenceMap(np.stack([xs, ys], axis=2), np.ones((h, w), dtype=bool))
+
+
+def backward_map(spec) -> CorrespondenceMap:
+    """Ground truth on a warp's source grid into its warped frame, the
+    reverse of ``apply_warp``'s forward map; a pixel warped out of frame is
+    invalid."""
+    h, w = spec.frame_h, spec.frame_w
+    dst = warp_points(spec, identity_map(h, w).coords.reshape(-1, 2)).reshape(h, w, 2)
+    return CorrespondenceMap.from_coords(dst, (h, w))
 
 
 def count_threads(monkeypatch):

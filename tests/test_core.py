@@ -879,6 +879,16 @@ class TestMapComposition:
         assert not m.valid[1, 1]
         assert m.valid[2, 2]
 
+    @pytest.mark.parametrize("source_hw, match", [
+        ((2.5, 3), "source_hw must be an integer, got 2.5"),
+        ((True, 3), "source_hw must be an integer, got True"),
+        ((3, 0), r"source_hw must be >= 1, got \(3, 0\)")])
+    def test_from_coords_frame_dims_checked(self, source_hw, match):
+        # unchecked, (2.5, 3) marked coordinates up to 1.5 valid and
+        # (True, 3) acted as a frame of height 1
+        with pytest.raises(ValueError, match=match):
+            CorrespondenceMap.from_coords(np.zeros((2, 2, 2)), source_hw)
+
 
 class TestMask:
     def test_count(self):

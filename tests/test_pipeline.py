@@ -37,7 +37,7 @@ from corrverify.verify import (
     score_s_l,
 )
 
-from helpers import count_threads
+from helpers import backward_map, count_threads
 
 SIZE = 128
 RANSAC = RansacConfig(seed=5)
@@ -75,8 +75,8 @@ def pipeline(image_a: Image, image_b: Image, o_ab: CorrespondenceMap,
 def positive_inputs():
     """(source, warped, forward map, backward map) of the positive pair."""
     source = make_texture(SIZE, SIZE, seed=21)
-    return (source,) + apply_warp(
-        source, random_warp("affine", 0.3, seed=21, frame_hw=(SIZE, SIZE)))
+    spec = random_warp("affine", 0.3, seed=21, frame_hw=(SIZE, SIZE))
+    return (source, *apply_warp(source, spec), backward_map(spec))
 
 
 def positive() -> dict:

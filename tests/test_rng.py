@@ -44,9 +44,16 @@ class TestLcg64:
         with pytest.raises(ValueError, match=match):
             Lcg64(0).sample_distinct(3, k)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_range_rejected(self, n):
+        # unchecked, n = 2.5 drew [1.5, 0.5]
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            Lcg64(1).sample_distinct(n, 1)
+
     def test_draw_count_bounds_accepted(self):
         assert Lcg64(0).sample_distinct(3, 0) == []
         assert sorted(Lcg64(0).sample_distinct(3, np.int64(3))) == [0, 1, 2]
+        assert Lcg64(0).sample_distinct(np.int64(5), 4) == Lcg64(0).sample_distinct(5, 4)
 
     def test_bound_above_draw_range_rejected(self):
         # lim = 2**32 - 2**32 % n is 0 for n > 2**32, so a rejection loop

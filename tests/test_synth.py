@@ -31,7 +31,7 @@ from corrverify.synth import (
 )
 from corrverify.verify import DegenerateModelError, cyclic_mask
 
-from helpers import identity_map, one_blas_thread
+from helpers import backward_map, identity_map, one_blas_thread
 
 
 def grid_points(h, w, step=7):
@@ -470,7 +470,8 @@ class TestApplyWarp:
     def test_identity_spec_preserves_image_and_maps(self):
         img = make_texture(240, 240, seed=1)
         spec = random_warp("affine", 0.0, seed=0)
-        warped, gt_fwd, gt_bwd = apply_warp(img, spec)
+        warped, gt_fwd = apply_warp(img, spec)
+        gt_bwd = backward_map(spec)
         assert np.abs(warped.pixels - img.pixels).max() < 1e-9
         ident = identity_map(240, 240)
         assert gt_fwd.valid.all() and gt_bwd.valid.all()
@@ -481,7 +482,8 @@ class TestApplyWarp:
         img = make_texture(240, 240, seed=2)
         m = np.array([[1.0, 0.0, 12.0], [0.0, 1.0, -7.0], [0.0, 0.0, 1.0]])
         spec = WarpSpec("affine", {"matrix": m}, seed=0, magnitude=0.1)
-        warped, gt_fwd, gt_bwd = apply_warp(img, spec)
+        warped, gt_fwd = apply_warp(img, spec)
+        gt_bwd = backward_map(spec)
         ident = identity_map(240, 240).coords
         off_fwd = gt_fwd.coords[gt_fwd.valid] - ident[gt_fwd.valid]
         assert np.allclose(off_fwd, [-12.0, 7.0], atol=1e-9)
@@ -493,7 +495,8 @@ class TestApplyWarp:
     def test_homography_gt_matches_projective_oracle(self):
         img = make_texture(240, 240, seed=3)
         spec = random_warp("homography", 0.4, seed=11)
-        _, gt_fwd, gt_bwd = apply_warp(img, spec)
+        _, gt_fwd = apply_warp(img, spec)
+        gt_bwd = backward_map(spec)
         hmat = np.asarray(spec.params["matrix"])
         hinv = np.linalg.inv(hmat)
         for y in range(0, 240, 31):
@@ -525,14 +528,11 @@ class TestApplyWarp:
         assert np.allclose(back, expect_back, rtol=0, atol=1e-9)
         assert np.array_equal(warp_jacobian(spec, pts), np.broadcast_to(a, (len(pts), 2, 2)))
 
-        _, gt_fwd, gt_bwd = apply_warp(make_texture(240, 240, seed=seed), spec)
+        _, gt_fwd = apply_warp(make_texture(240, 240, seed=seed), spec)
         inside = ((expect_back >= 0) & (expect_back <= 239)).all(axis=1).reshape(240, 240)
         assert np.array_equal(gt_fwd.valid, inside)
         assert np.allclose(gt_fwd.coords[inside], expect_back.reshape(240, 240, 2)[inside],
                            rtol=0, atol=1e-9)
-        fwd = (pts @ a.T + t).reshape(240, 240, 2)
-        assert np.array_equal(gt_bwd.valid, ((fwd >= 0) & (fwd <= 239)).all(axis=2))
-        assert np.allclose(gt_bwd.coords[gt_bwd.valid], fwd[gt_bwd.valid], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed, digest", [
         (3, "818131cf4374908c01dd48b82df3c771eca0f1028c2fbd9091df2455b8549522"),
@@ -540,7 +540,8 @@ class TestApplyWarp:
     ])
     def test_tps_outputs_pinned(self, seed, digest):
         spec = random_warp("tps", 0.5, seed=seed)
-        warped, gt_fwd, gt_bwd = apply_warp(make_texture(240, 240, seed=seed), spec)
+        warped, gt_fwd = apply_warp(make_texture(240, 240, seed=seed), spec)
+        gt_bwd = backward_map(spec)
         h = hashlib.sha256()
         for a in (warped.pixels, gt_fwd.coords, gt_fwd.valid, gt_bwd.coords, gt_bwd.valid):
             h.update(a.tobytes())
@@ -562,7 +563,8 @@ class TestApplyWarp:
 
         img = make_texture(240, 240, seed=4)
         spec = random_warp(kind, 0.4, seed=31)
-        _, gt_fwd, gt_bwd = apply_warp(img, spec)
+        _, gt_fwd = apply_warp(img, spec)
+        gt_bwd = backward_map(spec)
         # mutually valid = composition evaluable through both maps
         back = sample_map(gt_bwd, gt_fwd.coords[..., 0], gt_fwd.coords[..., 1])
         mutual = gt_fwd.valid & np.isfinite(back).all(axis=-1)
@@ -572,6 +574,13 @@ class TestApplyWarp:
         home = np.hypot(back[..., 0] - gx, back[..., 1] - gy) <= 0.5
         assert (mutual & home).sum() / mutual.sum() >= 0.99
         assert np.array_equal(cyclic_mask(gt_fwd, gt_bwd).bits & home, mutual & home)
+
+    def test_builds_no_backward_map(self, monkeypatch):
+        # the reverse map follows from the spec (helpers.backward_map); no
+        # view pays the whole-grid forward warp that building it took
+        monkeypatch.setattr(synth, "warp_points", None)
+        out = apply_warp(make_texture(48, 48, seed=6), random_warp("tps", 0.5, 6, (48, 48)))
+        assert len(out) == 2
 
     def test_frame_mismatch_rejected(self):
         img = make_texture(120, 120, seed=5)
@@ -649,4 +658,14 @@ class TestGenBenchmark:
         sources = [make_texture(240, 240, seed=0)]
         with pytest.raises(ValueError, match="n_distractors"):
             gen_benchmark(sources, tmp_path / "b", 1, 1, -1, seed=0)
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("counts, name", [
+        ((True, 1, 0), "n_queries"), ((1, 1.5, 0), "positives_per_query"),
+        ((1, 1, 2.0), "n_distractors")])
+    def test_non_integer_counts_rejected(self, tmp_path, counts, name):
+        # unchecked, True counted as 1, and 1.5 or 2.0 raised TypeError in range
+        sources = [make_texture(240, 240, seed=0)] * 3
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            gen_benchmark(sources, tmp_path / "b", *counts, seed=0)
         assert not (tmp_path / "b").exists()

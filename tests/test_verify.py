@@ -55,7 +55,7 @@ from corrverify.verify import (
     verify_direction,
 )
 
-from helpers import bundled_openblas, count_threads, identity_map
+from helpers import backward_map, bundled_openblas, count_threads, identity_map
 
 
 def symmetric_transfer_error(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -360,13 +360,30 @@ class TestScoreSF:
         (math.nan, 0.1, 0.5, "s_l"), (1.0, 0.1, math.nan, "g"), (math.inf, 0.1, 0.5, "s_l"),
         (10.0, 0.1, -1.0, "g"), (-math.inf, 0.1, 0.5, "s_l"), (1.0, math.nan, 0.5, "s"),
         (1.0, -0.1, 0.5, "s"), (1.0, 0.1, math.inf, "g"), (True, 0.1, 0.5, "s_l"),
-        (1.0, "0.1", 0.5, "s")])
+        (1.0, "0.1", 0.5, "s"),
+        pytest.param(10 ** 400, 0.1, 0.5, "s_l", id="int-past-float-range-s_l"),
+        pytest.param(1.0, 10 ** 400, 0.5, "s", id="int-past-float-range-s"),
+        pytest.param(1.0, 0.1, 10 ** 400, "g", id="int-past-float-range-g"),
+        pytest.param(1e300, 1e300, 0.5, r"s_l \* s", id="product-overflow"),
+        pytest.param(-1e300, 1e300, 0.5, r"s_l \* s", id="product-overflow-negative"),
+        pytest.param(np.float64(1e300), np.float64(1e300), 0.5, r"s_l \* s",
+                     id="product-overflow-numpy")])
     def test_nan_or_misranking_inputs_rejected(self, s_l, s, g, name):
         # unchecked, (nan, 0.1, 0.5) read (nan, False), (1.0, 0.1, nan)
         # (nan, True), (inf, 0.1, 0.5) inf and (10.0, 0.1, -1.0) 0.0; a nan
-        # S_F ranks first or last under the (-S_F, G) sort by input order
+        # S_F ranks first or last under the (-S_F, G) sort by input order.
+        # (1e300, 1e300, 0.5) read (inf, False), ranking first, and
+        # (10**400, 0.1, 0.5) raised OverflowError
         with pytest.raises(ValueError, match=f"^{name} must be"):
             score_s_f(s_l, s, g)
+
+    def test_float_range_ends_accepted(self):
+        big = sys.float_info.max
+        assert score_s_f(big, 1.0, 0.0) == (math.log10(big), False)
+        assert score_s_f(-big, 1.0, 0.0) == (float("-inf"), False)
+        assert score_s_f(1.0, 1.0, big) == (0.0, False)
+        # an int product is exact: past the float range, log10 still takes it
+        assert score_s_f(10 ** 200, 10 ** 200, 0.0) == (400.0, False)
 
     def test_negative_s_l_and_numpy_reals_accepted(self):
         # S_L is a cosine sum and may be negative; S = 0 with it still ranks last
@@ -642,8 +659,8 @@ class TestCyclicMask:
 def gt_maps_for(kind, seed, magnitude=0.4):
     img = make_texture(240, 240, seed=seed)
     spec = random_warp(kind, magnitude, seed=seed)
-    _, gt_fwd, gt_bwd = apply_warp(img, spec)
-    return spec, gt_fwd, gt_bwd
+    _, gt_fwd = apply_warp(img, spec)
+    return spec, gt_fwd, backward_map(spec)
 
 
 class TestRansac:
@@ -685,7 +702,7 @@ class TestRansac:
     def test_dense_scoring_memory_bounded(self):
         # 1000 hypotheses scored against every valid pixel: 1000 x 12,697 pairs
         img = make_texture(120, 120, 3)
-        _, gt_fwd, _ = apply_warp(img, random_warp("affine", 0.3, 5, (120, 120)))
+        _, gt_fwd = apply_warp(img, random_warp("affine", 0.3, 5, (120, 120)))
         pts, coords = _map_correspondences(gt_fwd, 1)
         assert len(pts) == 12697
         rng = Lcg64(0)
@@ -1037,7 +1054,7 @@ class TestInlierKernel:
     @pytest.mark.parametrize("threshold", [3.0, 1.0])
     def test_ransac_mask_matches_reference(self, threshold):
         img = make_texture(120, 120, 43)
-        _, fwd, _ = apply_warp(img, random_warp("tps", 0.5, 43, (120, 120)))
+        _, fwd = apply_warp(img, random_warp("tps", 0.5, 43, (120, 120)))
         coords = fwd.coords + np.random.default_rng(43).normal(0, 1.0, fwd.coords.shape)
         cmap = CorrespondenceMap(coords, fwd.valid)
         model, inliers = ransac_homography(cmap, RansacConfig(seed=3, inlier_threshold=threshold))
@@ -1054,12 +1071,13 @@ def noisy_pair(kind, seed, magnitude, size=48):
     """Ground-truth maps of a seeded warp, the forward map jittered and given
     an outlier patch so that I, C and the two directions differ."""
     img = make_texture(size, size, seed)
-    _, fwd, bwd = apply_warp(img, random_warp(kind, magnitude, seed, (size, size)))
+    spec = random_warp(kind, magnitude, seed, (size, size))
+    _, fwd = apply_warp(img, spec)
     rng = np.random.default_rng(seed)
     coords = fwd.coords + rng.normal(0, 0.7, fwd.coords.shape)
     y, x = rng.integers(0, size // 2, 2)
     coords[y:y + size // 3, x:x + size // 3] = rng.uniform(0, size - 1, (size // 3, size // 3, 2))
-    return CorrespondenceMap(coords, fwd.valid), bwd
+    return CorrespondenceMap(coords, fwd.valid), backward_map(spec)
 
 
 def low_w_map(size, seed, jitter, share):
@@ -1067,7 +1085,7 @@ def low_w_map(size, seed, jitter, share):
     jittered by jitter pixels and with a square patch of uniform outliers
     over share of the map: few hypotheses explain many pixels."""
     img = make_texture(size, size, seed)
-    _, fwd, _ = apply_warp(img, random_warp("tps", 0.6, seed, (size, size)))
+    _, fwd = apply_warp(img, random_warp("tps", 0.6, seed, (size, size)))
     rng = np.random.default_rng(seed)
     coords = fwd.coords + rng.normal(0, jitter, fwd.coords.shape)
     side = round(size * math.sqrt(share))
